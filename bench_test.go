@@ -26,6 +26,7 @@ import (
 	"multitree/internal/network"
 	"multitree/internal/obs"
 	"multitree/internal/plancache"
+	"multitree/internal/sim"
 	"multitree/internal/topology"
 	"multitree/internal/topospec"
 	"multitree/internal/training"
@@ -722,6 +723,55 @@ func BenchmarkFluidEngineSteadyState(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Cycles), "simCycles")
 	b.ReportMetric(res.BandwidthBytesPerCycle(16<<20), "GB/s")
+}
+
+// BenchmarkFluidSimReset is the training loop's engine pattern: one
+// FluidSim rebound with Reset to MultiTree schedules of alternating sizes
+// on an 8x8 Torus (one tree set, as a training iteration lowers it per
+// layer) and run. Rebinding a warm simulator to a same-shape schedule
+// reuses every array, so the benchmark fails outright if Reset + Run
+// allocates.
+func BenchmarkFluidSimReset(b *testing.B) {
+	topo, err := topospec.Parse("torus-8x8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	trees, err := core.BuildTrees(topo, core.DefaultOptions(topo))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var scheds [2]*collective.Schedule
+	for i, elems := range []int{(1 << 20) / 4, (4 << 20) / 4} {
+		if scheds[i], err = collective.TreesToSchedule(core.Algorithm, topo, elems, trees); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := network.DefaultConfig()
+	var fs network.FluidSim
+	run := func(i int) *network.Result {
+		if err := fs.Reset(scheds[i%2], cfg); err != nil {
+			b.Fatal(err)
+		}
+		res, err := fs.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	var want [2]sim.Time
+	for i := range want { // grow every backing array to its high-water mark
+		want[i] = run(i).Cycles
+	}
+	if allocs := testing.AllocsPerRun(2, func() { run(0); run(1) }); allocs != 0 {
+		b.Fatalf("Reset + Run allocates %.1f per rebinding pair, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := run(i).Cycles; c != want[i%2] {
+			b.Fatalf("rebinding %d finished in %d cycles, want %d", i, c, want[i%2])
+		}
+	}
 }
 
 // BenchmarkPlanMesh16x16 measures a cold MultiTree build on the 256-node

@@ -67,7 +67,12 @@ func Build(topo *topology.Topology, elems, chunks int) (*collective.Schedule, er
 			flows = append(flows, collective.Range{Off: h.Off + c.Off, Len: c.Len})
 		}
 	}
-	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows}
+	// Each tree's n-1 non-root ranks send every chunk once up (reduce)
+	// and receive it once down (broadcast).
+	s := &collective.Schedule{
+		Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows,
+		Transfers: make([]collective.Transfer, 0, 2*2*(n-1)*chunks),
+	}
 
 	for ti, tr := range []*tree{t1, t2} {
 		buildTreeSchedule(s, tr, ti, chunks)

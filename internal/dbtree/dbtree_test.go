@@ -1,6 +1,9 @@
 package dbtree
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -160,4 +163,42 @@ func TestRejectsSingleNode(t *testing.T) {
 	if _, err := Build(topo, 100, 2); err == nil {
 		t.Error("single node accepted")
 	}
+}
+
+// TestBuildPresized: Build sizes the transfer array exactly up front, and
+// the export is byte-identical to the one the append-grown builder made.
+func TestBuildPresized(t *testing.T) {
+	for _, c := range []struct {
+		topo          *topology.Topology
+		elems, chunks int
+		digest        string
+	}{
+		{topology.Torus(4, 4, cfg()), 1, 0, "3ae64b38690ebade"},
+		{topology.Torus(4, 4, cfg()), 1000, 0, "f2e6fc1741177a54"},
+		{topology.Mesh(3, 5, cfg()), 1000, 3, "5ba0e40f35c23fc5"},
+		{topology.FatTree(4, 4, 2, cfg()), 1000, 0, "6ec55ca081b5ffd7"},
+		{topology.Torus(8, 8, cfg()), 100003, 3, "c964621e580bd323"},
+	} {
+		s, err := Build(c.topo, c.elems, c.chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(s.Transfers) != len(s.Transfers) {
+			t.Errorf("%s: transfers cap %d, len %d", c.topo.Name(), cap(s.Transfers), len(s.Transfers))
+		}
+		if got := exportDigest(t, s); got != c.digest {
+			t.Errorf("%s/%d/%d: export digest %s, want %s", c.topo.Name(), c.elems, c.chunks, got, c.digest)
+		}
+	}
+}
+
+// exportDigest is the leading 16 hex digits of the sha256 of the
+// schedule's JSON interchange export.
+func exportDigest(t *testing.T, s *collective.Schedule) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := collective.Export(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))[:16]
 }

@@ -54,7 +54,7 @@ func Fig11(topo *topology.Topology, overlapped bool) ([]Fig11Row, error) {
 				Accel:        accel.Default(),
 				BatchPerNode: 16,
 				Net:          netConfig(alg),
-				Build:        builderFor(alg.Name),
+				Build:        TrainingBuilder(alg.Name),
 			}
 			var (
 				b   training.Breakdown
@@ -99,10 +99,14 @@ func netConfig(alg AlgSpec) network.Config {
 	return cfg
 }
 
-// builderFor returns a ScheduleBuilder, caching MultiTree's trees per
-// topology so per-layer schedules reuse one Algorithm 1 run (§V-A: the
-// schedules are computed once and reused across epochs).
-func builderFor(name string) training.ScheduleBuilder {
+// TrainingBuilder returns the training simulator's ScheduleBuilder for a
+// named algorithm (MULTITREE-MSG builds MultiTree's schedules). For
+// MultiTree the trees are grown once per topology and lowered per layer
+// size — the paper's deployment model, where "the schedules are computed
+// once during initialization and loaded to network interfaces for reuse
+// in the iterative training epochs" (§V-A). Other algorithms build
+// through the registry.
+func TrainingBuilder(name string) training.ScheduleBuilder {
 	base := name
 	if base == core.Algorithm+"-msg" {
 		base = core.Algorithm

@@ -1,8 +1,10 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"multitree/internal/collective"
@@ -27,37 +29,55 @@ func SimulateFluid(s *collective.Schedule, cfg Config) (*Result, error) {
 	return fs.Run()
 }
 
-// FluidSim is a reusable flow-level simulator for one schedule and
-// configuration, the fluid counterpart of PacketSim. Run may be called
-// repeatedly: every run resets the mutable state but keeps all backing
-// storage (typed event heap, rate scratch arrays, link occupancy arena),
-// so steady-state re-simulation performs zero heap allocations (see
-// TestFluidEngineSteadyStateAllocs). Runs are deterministic and
-// cycle-identical to each other and to a fresh SimulateFluid.
+// FluidSim is a reusable flow-level simulator, the fluid counterpart of
+// PacketSim. Run may be called repeatedly: every run resets the mutable
+// state but keeps all backing storage (typed event heap, rate scratch
+// arrays, link occupancy arena), so steady-state re-simulation performs
+// zero heap allocations (see TestFluidEngineSteadyStateAllocs). Reset
+// rebinds the simulator to another schedule and configuration under the
+// same rule: every backing array is kept and regrown only past its
+// high-water mark. Runs are deterministic and cycle-identical to each
+// other and to a fresh SimulateFluid of the bound schedule. The zero
+// value is an unbound simulator, ready for Reset.
 type FluidSim struct {
 	st fluidState
 }
 
-// NewFluidSim validates the configuration and builds the immutable
-// schedule-derived state (dependency graph, per-transfer paths and wire
-// volumes, lockstep step lists, byte totals, dense per-link scratch).
+// NewFluidSim returns a simulator bound to s under cfg: Reset on a zero
+// FluidSim.
 func NewFluidSim(s *collective.Schedule, cfg Config) (*FluidSim, error) {
-	if err := cfg.validate(); err != nil {
+	fs := &FluidSim{}
+	if err := fs.Reset(s, cfg); err != nil {
 		return nil, err
+	}
+	return fs, nil
+}
+
+// Reset validates the configuration and rebinds the simulator to s under
+// cfg, rebuilding the immutable schedule-derived state (dependency graph,
+// per-transfer paths and wire volumes, lockstep step lists, byte totals,
+// dense per-link scratch) in the arrays of the previous binding. On error
+// the previous binding is left intact. The Result of an earlier Run is
+// overwritten by the next Run, as between runs of one binding.
+func (fs *FluidSim) Reset(s *collective.Schedule, cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	flt, err := faults.Compile(cfg.Faults, s.Topo)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fs := &FluidSim{}
 	fs.st.init(s, cfg, flt)
-	return fs, nil
+	return nil
 }
 
 // Run simulates the schedule and returns the result. The returned Result
 // is owned by the simulator and overwritten by the next Run; callers that
 // keep results across runs must copy them.
 func (fs *FluidSim) Run() (*Result, error) {
+	if fs.st.s == nil {
+		return nil, fmt.Errorf("network: FluidSim run before Reset bound a schedule")
+	}
 	return fs.st.run()
 }
 
@@ -180,8 +200,10 @@ func (h *tevHeap) siftDown(i int) {
 
 // nodeClock tracks one node's lockstep progress through its active steps.
 type nodeClock struct {
+	// steps and stepCnt are the node's windows of fluidState.stepVal and
+	// fluidState.stepCnt, precomputed in init.
 	steps   []int // sorted distinct steps at which the node sends
-	stepCnt []int // sends per entry of steps, precomputed in init
+	stepCnt []int // sends per entry of steps
 	idx     int   // index of the current active step; len(steps) when done
 	entered bool  // node has entered steps[idx]
 	pending int   // not-yet-injected sends in the current step
@@ -207,10 +229,14 @@ type fluidState struct {
 	flt *faults.Compiled
 	now float64
 
-	flows  []fluidFlow
-	succ   [][]int32
-	busy   []float64 // fractional busy time per link, rounded once at report
-	linkBW []float64 // base link bandwidths, cached from the topology
+	flows []fluidFlow
+	// succ[succOff[i]:succOff[i+1]] lists the transfers that depend on
+	// transfer i, in increasing id order: CSR form, two flat arrays
+	// instead of one slice per transfer.
+	succOff []int32
+	succ    []int32
+	busy    []float64 // fractional busy time per link, rounded once at report
+	linkBW  []float64 // base link bandwidths, cached from the topology
 
 	active     []int32 // indices of fsActive flows
 	ready      []int32 // deps satisfied, waiting to activate (step gate)
@@ -223,7 +249,13 @@ type fluidState struct {
 	lockstep bool
 	estStep  float64
 	clocks   []nodeClock
-	sends    [][]int32 // per node: transfer ids it sends, sorted by (step, id)
+	stepVal  []int // every node's clock.steps, back to back in node order
+	stepCnt  []int // every node's clock.stepCnt, parallel to stepVal
+
+	// Counting-sort scratch for the step lists: transfer ids in (step, id)
+	// order, then in (src, step, id) order, and either pass's buckets.
+	byStep, bySrc []int32
+	bucket        []int32
 
 	res          *Result
 	payloadTotal int64
@@ -283,31 +315,36 @@ func newFluidState(s *collective.Schedule, cfg Config, flt *faults.Compiled) *fl
 	return st
 }
 
-// init builds the immutable schedule-derived state. Everything here is
-// computed once per FluidSim and only read by run/reset/seed.
+// init binds the state to a schedule: it builds the immutable
+// schedule-derived state that run/reset/seed only read. It takes
+// O(transfers + deps + links + nodes + steps) time and reuses the arrays
+// of any previous binding, so it allocates nothing once they have grown
+// to the schedule's shape. Reused link scratch keeps stale fill and
+// match stamps; the epochs survive rebinding like they survive reset, so
+// those stamps never match again.
 func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compiled) {
 	n := len(s.Transfers)
 	nLinks := len(s.Topo.Links())
 	st.s, st.cfg, st.tr, st.flt = s, cfg, cfg.Tracer, flt
 	st.lockstep = cfg.Lockstep
-	st.flows = make([]fluidFlow, n)
-	st.succ = make([][]int32, n)
-	st.busy = make([]float64, nLinks)
-	st.cnt = make([]int32, nLinks)
-	st.minStep = make([]int32, nLinks)
-	st.occHead = make([]int32, nLinks)
-	st.flowOcc = make([]int32, n)
-	st.fillEpoch = make([]uint64, nLinks)
-	st.remCap = make([]float64, nLinks)
-	st.fillCnt = make([]int32, nLinks)
-	st.matchStamp = make([]uint64, nLinks)
-	st.matchFlow = make([]int32, nLinks)
-	st.res = &Result{
-		TransferDone: make([]sim.Time, n),
-		LinkBusy:     make([]sim.Time, nLinks),
+	st.flows = resize(st.flows, n)
+	st.busy = resize(st.busy, nLinks)
+	st.cnt = resize(st.cnt, nLinks)
+	st.minStep = resize(st.minStep, nLinks)
+	st.occHead = resize(st.occHead, nLinks)
+	st.flowOcc = resize(st.flowOcc, n)
+	st.fillEpoch = resize(st.fillEpoch, nLinks)
+	st.remCap = resize(st.remCap, nLinks)
+	st.fillCnt = resize(st.fillCnt, nLinks)
+	st.matchStamp = resize(st.matchStamp, nLinks)
+	st.matchFlow = resize(st.matchFlow, nLinks)
+	if st.res == nil {
+		st.res = &Result{}
 	}
+	st.res.TransferDone = resize(st.res.TransferDone, n)
+	st.res.LinkBusy = resize(st.res.LinkBusy, nLinks)
 
-	st.linkBW = make([]float64, nLinks)
+	st.linkBW = resize(st.linkBW, nLinks)
 	maxWire, minBW := 0.0, math.Inf(1)
 	for i, l := range s.Topo.Links() {
 		st.linkBW[i] = l.Bandwidth
@@ -315,6 +352,9 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 			minBW = l.Bandwidth
 		}
 	}
+	succOff := resize(st.succOff, n+1)
+	clear(succOff)
+	st.payloadTotal, st.wireTotal = 0, 0
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
 		f := &st.flows[i]
@@ -323,7 +363,7 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		f.latency = float64(s.Topo.PathLatency(f.path))
 		f.step = int32(t.Step)
 		for _, d := range t.Deps {
-			st.succ[d] = append(st.succ[d], int32(i))
+			succOff[d]++
 		}
 		if f.wire > maxWire {
 			maxWire = f.wire
@@ -332,36 +372,116 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		st.wireTotal += int64(f.wire)
 	}
 	st.estStep = maxWire / minBW
-
-	if st.lockstep {
-		nNodes := s.Topo.Nodes()
-		st.clocks = make([]nodeClock, nNodes)
-		st.sends = make([][]int32, nNodes)
-		for i := range s.Transfers {
-			src := int(s.Transfers[i].Src)
-			st.sends[src] = append(st.sends[src], int32(i))
-		}
-		for node := range st.sends {
-			ids := st.sends[node]
-			// Stable sort by (step, id); transfers were appended in id
-			// order, so an insertion sort on step keeps id order.
-			for i := 1; i < len(ids); i++ {
-				for j := i; j > 0 && s.Transfers[ids[j]].Step < s.Transfers[ids[j-1]].Step; j-- {
-					ids[j], ids[j-1] = ids[j-1], ids[j]
-				}
-			}
-			c := &st.clocks[node]
-			last := -1
-			for _, id := range ids {
-				if step := s.Transfers[id].Step; step != last {
-					c.steps = append(c.steps, step)
-					c.stepCnt = append(c.stepCnt, 0)
-					last = step
-				}
-				c.stepCnt[len(c.stepCnt)-1]++
-			}
+	// Inclusive prefix sums make succOff[d] the end of d's successor list;
+	// filling in decreasing id order walks each end back to its start and
+	// leaves every list in increasing id order.
+	for d := 1; d <= n; d++ {
+		succOff[d] += succOff[d-1]
+	}
+	succ := resize(st.succ, int(succOff[n]))
+	for i := n - 1; i >= 0; i-- {
+		for _, d := range s.Transfers[i].Deps {
+			succOff[d]--
+			succ[succOff[d]] = int32(i)
 		}
 	}
+	st.succOff, st.succ = succOff, succ
+
+	st.clocks = st.clocks[:0]
+	if st.lockstep {
+		st.initClocks(s)
+	}
+}
+
+// initClocks builds every node's lockstep step list — its distinct send
+// steps in increasing order, with the number of sends at each — by a
+// two-pass counting sort: transfer ids by step, then stably by source
+// node, which leaves each node's sends contiguous in (step, id) order.
+// That is O(transfers + nodes + step span). A schedule whose step span
+// exceeds its transfer count (only a hand-written IR has one) is ordered
+// by step with a comparison sort instead, so the scratch never outgrows
+// the schedule.
+func (st *fluidState) initClocks(s *collective.Schedule) {
+	n := len(s.Transfers)
+	nNodes := s.Topo.Nodes()
+	lo, hi := 0, -1
+	for i := range s.Transfers {
+		if step := s.Transfers[i].Step; i == 0 {
+			lo, hi = step, step
+		} else {
+			lo, hi = min(lo, step), max(hi, step)
+		}
+	}
+	span := hi - lo + 1
+	byStep := resize(st.byStep, n)
+	bucket := resize(st.bucket, max(min(span, n), nNodes)+1)
+	if span <= n {
+		b := bucket[:span+1]
+		clear(b)
+		for i := range s.Transfers {
+			b[s.Transfers[i].Step-lo+1]++
+		}
+		for k := 1; k < span; k++ {
+			b[k] += b[k-1]
+		}
+		for i := range s.Transfers {
+			k := s.Transfers[i].Step - lo
+			byStep[b[k]] = int32(i)
+			b[k]++
+		}
+	} else {
+		for i := range byStep {
+			byStep[i] = int32(i)
+		}
+		slices.SortStableFunc(byStep, func(a, b int32) int {
+			return cmp.Compare(s.Transfers[a].Step, s.Transfers[b].Step)
+		})
+	}
+	// After the second pass b[node] is the end of node's run in bySrc.
+	b := bucket[:nNodes+1]
+	clear(b)
+	for i := range s.Transfers {
+		b[s.Transfers[i].Src+1]++
+	}
+	for k := 1; k < nNodes; k++ {
+		b[k] += b[k-1]
+	}
+	bySrc := resize(st.bySrc, n)
+	for _, id := range byStep {
+		k := s.Transfers[id].Src
+		bySrc[b[k]] = id
+		b[k]++
+	}
+
+	stepVal := resize(st.stepVal, n)
+	stepCnt := resize(st.stepCnt, n)
+	st.clocks = resize(st.clocks, nNodes)
+	w, start := 0, 0
+	for node := range st.clocks {
+		first := w
+		for _, id := range bySrc[start:b[node]] {
+			if step := s.Transfers[id].Step; w == first || stepVal[w-1] != step {
+				stepVal[w], stepCnt[w] = step, 0
+				w++
+			}
+			stepCnt[w-1]++
+		}
+		start = int(b[node])
+		c := &st.clocks[node]
+		c.steps, c.stepCnt = stepVal[first:w:w], stepCnt[first:w:w]
+	}
+	st.byStep, st.bySrc, st.bucket = byStep, bySrc, bucket
+	st.stepVal, st.stepCnt = stepVal, stepCnt
+}
+
+// resize returns a length-n slice, reusing a's backing array when its
+// capacity allows. Reused elements keep their stale values; callers
+// overwrite or clear what they read.
+func resize[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
+	}
+	return a[:n]
 }
 
 // reset restores the mutable state for a fresh deterministic run while
@@ -756,7 +876,7 @@ func (st *fluidState) processTimed(res *Result) {
 					Node: int32(t.Dst), Flow: int32(t.Flow), Step: int32(t.Step),
 				})
 			}
-			for _, nxt := range st.succ[id] {
+			for _, nxt := range st.succ[st.succOff[id]:st.succOff[id+1]] {
 				nf := &st.flows[nxt]
 				nf.depsLeft--
 				if nf.depsLeft == 0 {

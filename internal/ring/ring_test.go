@@ -1,6 +1,9 @@
 package ring_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -102,4 +105,39 @@ func TestTwoNodeRing(t *testing.T) {
 	if err := collective.VerifyAllReduce(s, collective.RampInputs(2, 100)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBuildPresized: Build sizes the transfer array exactly up front, and
+// the export is byte-identical to the one the append-grown builder made.
+func TestBuildPresized(t *testing.T) {
+	for _, c := range []struct {
+		topo   *topology.Topology
+		elems  int
+		digest string
+	}{
+		{topology.Torus(4, 4, cfg()), 1, "09c4d1fdd41d4c0d"},
+		{topology.Torus(4, 4, cfg()), 1000, "0fc2ba5dbd4f0e39"},
+		{topology.Mesh(3, 5, cfg()), 1000, "9afc9f9d6759baad"},
+		{topology.FatTree(4, 4, 2, cfg()), 1000, "9f8ed0296b9bbe47"},
+		{topology.Torus(8, 8, cfg()), 100003, "ef7c3da66c6a2dab"},
+	} {
+		s := ring.Build(c.topo, c.elems)
+		if cap(s.Transfers) != len(s.Transfers) {
+			t.Errorf("%s: transfers cap %d, len %d", c.topo.Name(), cap(s.Transfers), len(s.Transfers))
+		}
+		if got := exportDigest(t, s); got != c.digest {
+			t.Errorf("%s/%d: export digest %s, want %s", c.topo.Name(), c.elems, got, c.digest)
+		}
+	}
+}
+
+// exportDigest is the leading 16 hex digits of the sha256 of the
+// schedule's JSON interchange export.
+func exportDigest(t *testing.T, s *collective.Schedule) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := collective.Export(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))[:16]
 }

@@ -36,7 +36,12 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 	if nx == 0 || ny == 0 {
 		return nil, fmt.Errorf("ring2d: %s is not a grid topology", topo.Name())
 	}
-	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems}
+	// Each quarter runs a full ring all-reduce along every row (ny rings
+	// of nx nodes) and every column (nx rings of ny nodes).
+	s := &collective.Schedule{
+		Algorithm: Algorithm, Topo: topo, Elems: elems,
+		Transfers: make([]collective.Transfer, 0, 4*(2*(nx-1)*nx*ny+2*(ny-1)*ny*nx)),
+	}
 	quarters := collective.Partition(elems, 4)
 
 	node := func(x, y int) topology.NodeID { return topology.NodeID(y*nx + x) }

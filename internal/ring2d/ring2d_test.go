@@ -1,6 +1,9 @@
 package ring2d_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -117,4 +120,41 @@ func TestCorrectnessProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestBuildPresized: Build sizes the transfer array exactly up front, and
+// the export is byte-identical to the one the append-grown builder made.
+func TestBuildPresized(t *testing.T) {
+	for _, c := range []struct {
+		topo   *topology.Topology
+		elems  int
+		digest string
+	}{
+		{topology.Torus(4, 4, cfg()), 1, "5e4b508923953599"},
+		{topology.Torus(4, 4, cfg()), 1000, "976a54e59a8a0604"},
+		{topology.Mesh(3, 5, cfg()), 1000, "64368f3a62b779b3"},
+		{topology.Torus(8, 8, cfg()), 100003, "61e80ef83f1fa501"},
+	} {
+		s, err := ring2d.Build(c.topo, c.elems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(s.Transfers) != len(s.Transfers) {
+			t.Errorf("%s: transfers cap %d, len %d", c.topo.Name(), cap(s.Transfers), len(s.Transfers))
+		}
+		if got := exportDigest(t, s); got != c.digest {
+			t.Errorf("%s/%d: export digest %s, want %s", c.topo.Name(), c.elems, got, c.digest)
+		}
+	}
+}
+
+// exportDigest is the leading 16 hex digits of the sha256 of the
+// schedule's JSON interchange export.
+func exportDigest(t *testing.T, s *collective.Schedule) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := collective.Export(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))[:16]
 }

@@ -23,8 +23,9 @@ type LayerProfile struct {
 // Profile computes the per-layer breakdown of one iteration.
 func (c Config) Profile(net model.Network) ([]LayerProfile, error) {
 	out := make([]LayerProfile, len(net.Layers))
+	r := c.newReducer()
 	for i, l := range net.Layers {
-		comm, err := c.allReduceCycles(int(l.Params()))
+		comm, err := r.cycles(int(l.Params()))
 		if err != nil {
 			return nil, err
 		}

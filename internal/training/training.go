@@ -25,7 +25,10 @@ import (
 type ScheduleBuilder func(topo *topology.Topology, elems int) (*collective.Schedule, error)
 
 // Engine executes a schedule; network.SimulateFluid or
-// network.SimulatePackets.
+// network.SimulatePackets. An engine must be a pure function of (schedule,
+// config): a training call simulates each distinct gradient size once and
+// reuses its cycle count for every other layer of that size (unless the
+// config carries a Tracer, which must see every layer's events).
 type Engine func(*collective.Schedule, network.Config) (*network.Result, error)
 
 // Config assembles a training system.
@@ -68,25 +71,49 @@ func (b Breakdown) String() string {
 		b.Forward, b.Backward, b.Comm, b.Exposed, b.Overlap, b.Total)
 }
 
-func (c Config) engine() Engine {
-	if c.Engine != nil {
-		return c.Engine
-	}
-	return network.SimulateFluid
+// reducer serves the layer all-reduces of one training call. Engines are
+// pure and a model's layers repeat few gradient sizes (the zoo's 222
+// non-empty layers have 100 distinct sizes), so it simulates each size
+// once and memoizes its cycle count — except under a Tracer, which must
+// see every layer's events. On the default fluid engine every simulation
+// rebinds one FluidSim, keeping its arrays across layers.
+type reducer struct {
+	c     Config
+	memo  map[int]sim.Time // nil when bypassed for a Tracer
+	fluid network.FluidSim
 }
 
-// allReduceCycles simulates an all-reduce of elems gradient elements.
-func (c Config) allReduceCycles(elems int) (sim.Time, error) {
+func (c Config) newReducer() *reducer {
+	r := &reducer{c: c}
+	if c.Net.Tracer == nil {
+		r.memo = map[int]sim.Time{}
+	}
+	return r
+}
+
+// cycles returns the all-reduce time of elems gradient elements.
+func (r *reducer) cycles(elems int) (sim.Time, error) {
 	if elems <= 0 {
 		return 0, nil
 	}
-	s, err := c.Build(c.Topo, elems)
+	if d, ok := r.memo[elems]; ok {
+		return d, nil
+	}
+	s, err := r.c.Build(r.c.Topo, elems)
 	if err != nil {
 		return 0, err
 	}
-	res, err := c.engine()(s, c.Net)
+	var res *network.Result
+	if r.c.Engine != nil {
+		res, err = r.c.Engine(s, r.c.Net)
+	} else if err = r.fluid.Reset(s, r.c.Net); err == nil {
+		res, err = r.fluid.Run()
+	}
 	if err != nil {
 		return 0, err
+	}
+	if r.memo != nil {
+		r.memo[elems] = res.Cycles
 	}
 	return res.Cycles, nil
 }
@@ -97,7 +124,7 @@ func (c Config) NonOverlapped(net model.Network) (Breakdown, error) {
 	var b Breakdown
 	b.Forward = sim.Time(c.Accel.NetworkForwardCycles(net, c.BatchPerNode))
 	b.Backward = sim.Time(c.Accel.NetworkBackwardCycles(net, c.BatchPerNode))
-	comm, err := c.allReduceCycles(int(net.Params()))
+	comm, err := c.newReducer().cycles(int(net.Params()))
 	if err != nil {
 		return b, err
 	}
@@ -120,11 +147,12 @@ func (c Config) Overlapped(net model.Network) (Breakdown, error) {
 	commFree := b.Forward // network idle until gradients exist
 	var commBusy sim.Time
 	var bucket int64 // fused gradient elements pending
+	r := c.newReducer()
 	flush := func(ready sim.Time) error {
 		if bucket == 0 {
 			return nil
 		}
-		dur, err := c.allReduceCycles(int(bucket))
+		dur, err := r.cycles(int(bucket))
 		if err != nil {
 			return err
 		}

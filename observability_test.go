@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"multitree/internal/model"
 	"multitree/internal/obs"
 )
 
@@ -117,5 +118,57 @@ func TestSimOptionsMetrics(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatalf("no link busy time collected")
+	}
+}
+
+// TestSimulateTrainingMetricsSeeEveryLayer: attached Metrics bypass the
+// training loop's per-size memo, so an overlapped iteration records the
+// same per-link busy totals as a plain loop simulating every non-empty
+// layer's all-reduce in back-propagation order.
+func TestSimulateTrainingMetricsSeeEveryLayer(t *testing.T) {
+	topo := NewTorus(4, 4)
+	const name = "GoogLeNet"
+	net, err := model.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := obs.NewMetrics(0)
+	sizes := map[int64]bool{}
+	layers := 0
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		p := net.Layers[i].Params()
+		if p == 0 {
+			continue
+		}
+		sizes[p] = true
+		layers++
+		s, err := BuildSchedule(topo, Ring, p*4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Simulate(SimOptions{Metrics: ref}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sizes) == layers {
+		t.Fatalf("%s repeats no layer size; the memo bypass would go untested", name)
+	}
+	got := obs.NewMetrics(0)
+	if _, err := SimulateTraining(topo, Ring, name, TrainingOptions{
+		Overlapped: true, Sim: SimOptions{Metrics: got},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got.Events() != ref.Events() {
+		t.Errorf("training recorded %d events, the per-layer loop %d", got.Events(), ref.Events())
+	}
+	gb, rb := got.LinkBusy(), ref.LinkBusy()
+	if len(gb) != len(rb) {
+		t.Fatalf("busy totals for %d links, want %d", len(gb), len(rb))
+	}
+	for l := range rb {
+		if gb[l] != rb[l] {
+			t.Errorf("link %d busy %v, per-layer loop %v", l, gb[l], rb[l])
+		}
 	}
 }
