@@ -165,17 +165,28 @@ func isBiGraphLike(topo *topology.Topology) bool {
 // refineMapping greedily swaps same-layer slot assignments to minimize the
 // worst same-step reuse of a single inter-switch link. The search is
 // deterministic: repeated full passes of improving swaps until a fixed
-// point.
+// point. Scoring a candidate allocates nothing: link use is counted in
+// one slice indexed by LinkID, cleared per step, and each node pair's
+// route is computed once and kept in a table.
 func refineMapping(topo *topology.Topology, m []topology.NodeID) {
 	n := len(m)
 	steps := bits.Len(uint(n)) - 1
+	use := make([]int32, len(topo.Links()))
+	routes := make([][]topology.LinkID, n*n)
+	route := func(a, b topology.NodeID) []topology.LinkID {
+		p := &routes[int(a)*n+int(b)]
+		if *p == nil {
+			*p = topo.Route(a, b)
+		}
+		return *p
+	}
 	cost := func() int {
 		total := 0
 		for k := 1; k <= steps; k++ {
-			use := map[topology.LinkID]int{}
+			clear(use)
 			bit := 1 << (k - 1)
 			for r := 0; r < n; r++ {
-				for _, l := range topo.Route(m[r], m[r^bit]) {
+				for _, l := range route(m[r], m[r^bit]) {
 					use[l]++
 					if use[l] > 1 {
 						total += 1

@@ -124,3 +124,28 @@ func TestWorksOnOtherPowerOfTwoTopologies(t *testing.T) {
 		}
 	}
 }
+
+// TestRankMappingPinned: the refinement's search result on the Fig. 9
+// BiGraph fabrics is pinned, so a change to how swaps are scored cannot
+// silently change the schedule HDRM builds.
+func TestRankMappingPinned(t *testing.T) {
+	for _, tc := range []struct {
+		perLayer int
+		want     []topology.NodeID
+	}{
+		{4, []topology.NodeID{24, 27, 3, 20, 25, 16, 28, 7, 19, 26, 30, 13, 2, 17, 15, 4, 11, 18, 8, 9, 12, 21, 23, 22, 0, 31, 1, 14, 29, 10, 6, 5}},
+		{8, []topology.NodeID{56, 59, 55, 54, 63, 40, 60, 35, 45, 52, 58, 31, 34, 51, 15, 24, 1, 16, 48, 9, 12, 5, 11, 22, 50, 25, 17, 0, 21, 20, 30, 53, 7, 4, 10, 19, 28, 37, 13, 14, 32, 41, 33, 42, 3, 62, 36, 27, 18, 49, 39, 8, 23, 26, 46, 29, 57, 6, 2, 43, 38, 61, 47, 44}},
+	} {
+		topo := topology.BiGraph(tc.perLayer, 4, cfg()) // bigraph-32, bigraph-64
+		got := rankMapping(topo)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: mapping has %d ranks, want %d", topo.Name(), len(got), len(tc.want))
+		}
+		for r := range got {
+			if got[r] != tc.want[r] {
+				t.Fatalf("%s: rank %d -> node %d, want %d\ngot  %v\nwant %v",
+					topo.Name(), r, got[r], tc.want[r], got, tc.want)
+			}
+		}
+	}
+}

@@ -137,7 +137,7 @@ func tevLess(a, b timedEvent) bool {
 }
 
 // tevHeap is a value-based 4-ary min-heap of timed events, mirroring
-// internal/sim's engine heap: no container/heap interface, no `any`
+// internal/sim's overflow heap: no container/heap interface, no `any`
 // boxing, backing array reused across runs via reset. Because tevLess is
 // a strict total order, the pop sequence is the fully sorted event order
 // regardless of heap arity — bit-identical to the container/heap

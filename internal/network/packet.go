@@ -97,7 +97,7 @@ func (r *pktRing) reset() { r.head, r.n = 0, 0 }
 
 // PacketSim is a reusable packet-level simulator for one schedule and
 // configuration. Run may be called repeatedly: every run resets the
-// mutable state but keeps all backing storage (event heap, packet arena,
+// mutable state but keeps all backing storage (event queue, packet arena,
 // link rings), so steady-state re-simulation performs zero heap
 // allocations (see TestPacketEngineSteadyStateAllocs). Runs are
 // deterministic and cycle-identical to each other and to SimulatePackets.
@@ -237,13 +237,13 @@ type packetSim struct {
 	lockstep bool
 	estStep  sim.Time
 	clocks   []pktNodeClock
-	sends    [][]int32
 	waiting  [][]int32 // per node: dep-satisfied transfers parked for their step
 	scratch  []int32   // reused by enterStep to drain waiting without aliasing
 }
 
 type pktNodeClock struct {
 	steps   []int
+	sends   []int // sends[i]: the node's transfers in steps[i]
 	idx     int
 	entered bool
 	pending int
@@ -297,23 +297,21 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 	if ps.lockstep {
 		nNodes := s.Topo.Nodes()
 		ps.clocks = make([]pktNodeClock, nNodes)
-		ps.sends = make([][]int32, nNodes)
 		ps.waiting = make([][]int32, nNodes)
+		sendSteps := make([][]int, nNodes)
 		for i := range s.Transfers {
-			ps.sends[s.Transfers[i].Src] = append(ps.sends[s.Transfers[i].Src], int32(i))
+			t := &s.Transfers[i]
+			sendSteps[t.Src] = append(sendSteps[t.Src], t.Step)
 		}
-		for node := range ps.sends {
-			ids := ps.sends[node]
-			sort.SliceStable(ids, func(a, b int) bool {
-				return s.Transfers[ids[a]].Step < s.Transfers[ids[b]].Step
-			})
+		for node, st := range sendSteps {
+			sort.Ints(st)
 			c := &ps.clocks[node]
-			last := -1
-			for _, id := range ids {
-				if st := s.Transfers[id].Step; st != last {
-					c.steps = append(c.steps, st)
-					last = st
+			for i, step := range st {
+				if i == 0 || step != st[i-1] {
+					c.steps = append(c.steps, step)
+					c.sends = append(c.sends, 0)
 				}
+				c.sends[len(c.sends)-1]++
 			}
 		}
 	}
@@ -633,12 +631,7 @@ func (ps *packetSim) enterStep(node int) {
 			Node: int32(node), Step: int32(step),
 		})
 	}
-	c.pending = 0
-	for _, id := range ps.sends[node] {
-		if ps.s.Transfers[id].Step == step {
-			c.pending++
-		}
-	}
+	c.pending = c.sends[c.idx]
 	ps.scratch = append(ps.scratch[:0], ps.waiting[node]...)
 	ps.waiting[node] = ps.waiting[node][:0]
 	for _, id := range ps.scratch {

@@ -212,16 +212,22 @@ func TestTypedScheduleZeroAlloc(t *testing.T) {
 			e.AfterKind(3, 1, a-1, 0)
 		}
 	}
-	// Warm up the heap's backing array.
-	for i := 0; i < 256; i++ {
-		e.ScheduleKind(Time(i), 1, 0, 0)
+	// load schedules near events into the wheel and far events (W or more
+	// cycles ahead) into the overflow heap.
+	load := func() {
+		for i := 0; i < 200; i++ {
+			e.ScheduleKind(Time(i%16), 1, int32(i%8), 0)
+			if i%4 == 0 {
+				e.ScheduleKind(wheelSize+Time(i*37), 1, int32(i%8), 0)
+			}
+		}
 	}
+	// Warm up the wheel's node pool and the heap's backing array.
+	load()
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Reset()
-		for i := 0; i < 200; i++ {
-			e.ScheduleKind(Time(i%16), 1, int32(i%8), 0)
-		}
+		load()
 		e.Run()
 	})
 	if allocs != 0 {
