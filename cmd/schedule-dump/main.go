@@ -33,7 +33,7 @@
 // -report writes the versioned run report, -planprofile the planner
 // phase CSV, -progress live planner progress on stderr, and
 // -cpuprofile/-memprofile the pprof profiles. So do the planner-scaling
-// flags: -plan-workers N grows trees in parallel and -plan-shards N
+// flags: -plan-workers N lowers trees in parallel and -plan-shards N
 // grows them in fabric shards (the schedule is byte-identical for every
 // count of either), and -plan-cache DIR makes -export load a
 // previously built schedule from the content-addressed cache instead of
@@ -88,19 +88,11 @@ func main() {
 		size      = flag.String("size", "1MiB", "all-reduce data size for -export")
 		export    = flag.String("export", "", "write the -algo schedule as a versioned IR file and exit (.plan extension selects the compact binary IR; anything else the JSON interchange IR)")
 		faultSpec = flag.String("faults", "", "fault spec for -export; re-plan on the degraded fabric (e.g. link:3-7:down,node:12:down)")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
-		reportPath   = flag.String("report", "", "write a structured run report (versioned JSON) to this file")
-		planCSV      = flag.String("planprofile", "", "write the planner phase-profile CSV to this file")
-		progressMode = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
-		planCache    = flag.String("plan-cache", "", "content-addressed plan cache directory for -export: schedules load from it when present and are stored after a fresh build")
-		planMemMB    = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated loads of one plan skip disk and decode entirely; <= 0 off")
-		warmLoads    = flag.Int("warm-loads", 0, "after -export, re-load the plan this many more times through the cache tiers (exercises warm serving; counts land in the run report)")
-		planWorkers  = flag.Int("plan-workers", 1, "parallel tree-growth workers for the MultiTree planner and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		planShards   = flag.Int("plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition); the schedule built is byte-identical for every value")
-		verifyPlan   = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
+		warmLoads = flag.Int("warm-loads", 0, "after -export, re-load the plan this many more times through the cache tiers (exercises warm serving; counts land in the run report)")
 	)
+	cfg := cliutil.Config{Tool: "schedule-dump"}
+	cliutil.RegisterFlags(flag.CommandLine, &cfg)
+	flag.StringVar(&cfg.PlanCSVPath, "planprofile", "", "write the planner phase-profile CSV to this file")
 	flag.Parse()
 
 	topo, err := topospec.Parse(*topoStr)
@@ -112,14 +104,8 @@ func main() {
 	if *export != "" {
 		mode = "export"
 	}
-	run, err := cliutil.StartRun(cliutil.Config{
-		Tool: "schedule-dump", Mode: mode,
-		ReportPath: *reportPath, PlanCSVPath: *planCSV,
-		ProgressMode: *progressMode,
-		CPUProfile:   *cpuProfile, MemProfile: *memProfile,
-		PlanCacheDir: *planCache, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, PlanShards: *planShards, VerifyPlan: *verifyPlan,
-	})
+	cfg.Mode = mode
+	run, err := cliutil.StartRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +122,7 @@ func main() {
 	}
 	opts := core.DefaultOptions(topo)
 	opts.Observer = run.PlanObserver()
-	opts.Workers = *planWorkers
+	opts.Workers = cfg.PlanWorkers
 	trees, err := core.BuildTrees(topo, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -149,7 +135,7 @@ func main() {
 		fmt.Println("  " + tr.String())
 	}
 
-	sched, err := collective.TreesToScheduleParallel(core.Algorithm, topo, topo.Nodes()*4, trees, *planWorkers, run.PlanObserver())
+	sched, err := collective.TreesToScheduleParallel(core.Algorithm, topo, topo.Nodes()*4, trees, cfg.PlanWorkers, run.PlanObserver())
 	if err != nil {
 		log.Fatal(err)
 	}

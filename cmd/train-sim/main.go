@@ -20,9 +20,9 @@
 // The shared observability flags of allreduce-bench also apply here:
 // -report writes the versioned run report, -progress live planner
 // progress on stderr, and -cpuprofile/-memprofile the pprof profiles —
-// as do the planner-scaling flags -plan-workers (parallel tree growth),
-// -plan-shards (sharded tree growth) and -plan-cache (content-addressed
-// on-disk schedule cache).
+// as do the planner-scaling flags -plan-workers (parallel lowering and
+// plan-load decode), -plan-shards (sharded tree growth) and -plan-cache
+// (content-addressed on-disk schedule cache).
 package main
 
 import (
@@ -61,17 +61,9 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome-trace JSON (ui.perfetto.dev) of the model's gradient all-reduce")
 		linkstats = flag.String("linkstats", "", "write per-link binned utilization CSV of the gradient all-reduce")
 		bin       = flag.Float64("bin", 1000, "utilization histogram bin width in cycles for -linkstats")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
-		reportPath   = flag.String("report", "", "write a structured run report (versioned JSON) to this file")
-		progressMode = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
-		planCache    = flag.String("plan-cache", "", "content-addressed plan cache directory: gradient all-reduce schedules load from it when present and are stored after a fresh build")
-		planMemMB    = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: the per-layer builds that share one plan skip disk and decode; <= 0 off")
-		planWorkers  = flag.Int("plan-workers", 1, "parallel tree-growth workers for the MultiTree planner and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		planShards   = flag.Int("plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition); the schedule built is byte-identical for every value")
-		verifyPlan   = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 	)
+	cfg := cliutil.Config{Tool: "train-sim"}
+	cliutil.RegisterFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
 	topo, err := topospec.Parse(*topoStr)
@@ -85,14 +77,8 @@ func main() {
 	case *traceOut != "" || *linkstats != "":
 		mode = "trace"
 	}
-	run, err := cliutil.StartRun(cliutil.Config{
-		Tool: "train-sim", Mode: mode,
-		ReportPath:   *reportPath,
-		ProgressMode: *progressMode,
-		CPUProfile:   *cpuProfile, MemProfile: *memProfile,
-		PlanCacheDir: *planCache, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, PlanShards: *planShards, VerifyPlan: *verifyPlan,
-	})
+	cfg.Mode = mode
+	run, err := cliutil.StartRun(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

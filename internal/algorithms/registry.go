@@ -41,8 +41,9 @@ type Options struct {
 	// (dbtree); <= 0 selects the algorithm's default.
 	Chunks int
 
-	// Workers bounds planner parallelism for algorithms with a parallel
-	// construction path (multitree's speculative tree growth); <= 1 means
+	// Workers bounds planner parallelism: multitree's tree lowering and
+	// eccentricity pass, and the section decode of plan-cache loads
+	// (tree growth itself parallelizes only with Shards); <= 1 means
 	// sequential. The schedule built is identical for every value.
 	Workers int
 

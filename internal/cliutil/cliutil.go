@@ -8,6 +8,7 @@ package cliutil
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -151,9 +152,25 @@ type Config struct {
 	PlanCacheDir      string // -plan-cache: content-addressed plan cache directory
 	PlanCacheMaxBytes int64  // -plan-cache-max-bytes: LRU size cap, <= 0 uncapped
 	PlanMemCacheMB    int64  // -plan-mem-cache-mb: in-process decoded-plan LRU cap, <= 0 off
-	PlanWorkers       int    // -plan-workers: parallel tree growth + lowering + IR decode, <= 1 sequential
+	PlanWorkers       int    // -plan-workers: parallel lowering, eccentricities and IR decode, <= 1 sequential
 	PlanShards        int    // -plan-shards: sharded tree growth (geometric root partition), <= 1 off
 	VerifyPlan        bool   // -verify-plan: full re-validation of cache hits
+}
+
+// RegisterFlags binds the flags every tool shares, with one name,
+// default and help text each, to cfg's fields. Tool-specific surfaces
+// (-planprofile, -plan-cache-max-bytes, -metrics-*) stay with the tools
+// that offer them.
+func RegisterFlags(fs *flag.FlagSet, cfg *Config) {
+	fs.StringVar(&cfg.ReportPath, "report", "", "write a structured run report (versioned JSON) to this file")
+	fs.StringVar(&cfg.ProgressMode, "progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
+	fs.StringVar(&cfg.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write an allocation profile taken at exit to this file")
+	fs.StringVar(&cfg.PlanCacheDir, "plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
+	fs.Int64Var(&cfg.PlanMemCacheMB, "plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds of one plan skip disk and decode; <= 0 off")
+	fs.IntVar(&cfg.PlanWorkers, "plan-workers", 1, "goroutines for MultiTree tree lowering, eccentricities and binary-IR plan-load decode; tree growth runs in parallel only together with -plan-shards. The schedule built is identical for every value")
+	fs.IntVar(&cfg.PlanShards, "plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition, one goroutine per shard); the schedule built is byte-identical for every value")
+	fs.BoolVar(&cfg.VerifyPlan, "verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 }
 
 // Run is one invocation's live observability state: the report being

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -156,5 +157,47 @@ func TestRunDisabled(t *testing.T) {
 	}
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegisterFlags pins the shared flag set: every name, its default,
+// and that parsing lands in the matching Config field.
+func TestRegisterFlags(t *testing.T) {
+	var cfg Config
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	RegisterFlags(fs, &cfg)
+	defaults := map[string]string{
+		"report": "", "progress": "auto", "cpuprofile": "", "memprofile": "",
+		"plan-cache": "", "plan-mem-cache-mb": "0", "plan-workers": "1",
+		"plan-shards": "1", "verify-plan": "false",
+	}
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		want, ok := defaults[f.Name]
+		if !ok {
+			t.Errorf("unexpected flag -%s", f.Name)
+		} else if f.DefValue != want {
+			t.Errorf("-%s default = %q, want %q", f.Name, f.DefValue, want)
+		}
+	})
+	if n != len(defaults) {
+		t.Errorf("%d flags registered, want %d", n, len(defaults))
+	}
+	if cfg.ProgressMode != "auto" || cfg.PlanWorkers != 1 || cfg.PlanShards != 1 {
+		t.Errorf("defaults not applied to config: %+v", cfg)
+	}
+	err := fs.Parse([]string{"-report", "r.json", "-progress", "off", "-cpuprofile", "c.out",
+		"-memprofile", "m.out", "-plan-cache", "dir", "-plan-mem-cache-mb", "64",
+		"-plan-workers", "4", "-plan-shards", "2", "-verify-plan"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{
+		ReportPath: "r.json", ProgressMode: "off", CPUProfile: "c.out", MemProfile: "m.out",
+		PlanCacheDir: "dir", PlanMemCacheMB: 64, PlanWorkers: 4, PlanShards: 2, VerifyPlan: true,
+	}
+	if cfg != want {
+		t.Errorf("parsed config = %+v, want %+v", cfg, want)
 	}
 }

@@ -114,12 +114,16 @@ func TestBinaryImportRejects(t *testing.T) {
 	if _, err := collective.ImportBinaryInto(bytes.NewReader([]byte(`{"version": 1}`)), torus); err == nil {
 		t.Fatal("accepted a JSON file as binary")
 	}
-	wrongVersion := append([]byte(nil), file...)
-	wrongVersion[4] = 99 // version varint follows the 4-byte magic
-	if _, err := collective.ImportBinaryInto(bytes.NewReader(wrongVersion), torus); err == nil {
-		t.Fatal("accepted an unknown format version")
-	} else if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("unexpected error: %v", err)
+	// Versions 1 and 2 are retired encodings and 99 is from the future:
+	// the version check itself must refuse all three, before decoding.
+	for _, v := range []byte{1, 2, 99} {
+		wrongVersion := append([]byte(nil), file...)
+		wrongVersion[4] = v // version varint follows the 4-byte magic
+		if _, err := collective.ImportBinaryInto(bytes.NewReader(wrongVersion), torus); err == nil {
+			t.Fatalf("accepted format version %d", v)
+		} else if !strings.Contains(err.Error(), "unsupported binary schedule version") {
+			t.Fatalf("version %d: unexpected error: %v", v, err)
+		}
 	}
 	for _, cut := range []int{len(file) / 4, len(file) / 2, len(file) - 1} {
 		if _, err := collective.ImportBinaryInto(bytes.NewReader(file[:cut]), torus); err == nil {

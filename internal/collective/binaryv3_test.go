@@ -1,9 +1,10 @@
 package collective_test
 
-// Tests of the version-3 sectioned binary IR: parallel-decode
-// invariance (the materialized schedule is byte-identical at every
-// worker count), tamper rejection on the parallel path, cross-version
-// round trips with v2 entries, and the non-seekable fallback.
+// Tests of the version-3 sectioned binary IR and its trust machinery:
+// validation-summary loads, the content digests as the corruption
+// backstop on the sequential and parallel paths, the VerifyFull escape
+// hatch, parallel-decode invariance (the materialized schedule is
+// byte-identical at every worker count), and the non-seekable fallback.
 
 import (
 	"bytes"
@@ -12,13 +13,108 @@ import (
 	"testing"
 
 	"multitree/internal/collective"
+	"multitree/internal/core"
+	"multitree/internal/topology"
 )
+
+func buildTorus4x4(t *testing.T) (*topology.Topology, *collective.Schedule) {
+	t.Helper()
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	s, err := core.Build(topo, 1<<12, core.DefaultOptions(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo, s
+}
+
+// TestBinaryV3SummaryLoad: a default import is accepted on its
+// validation summary, and the summary's counts describe the schedule
+// exactly.
+func TestBinaryV3SummaryLoad(t *testing.T) {
+	topo, s := buildTorus4x4(t)
+	var buf bytes.Buffer
+	if err := collective.ExportBinary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := collective.ImportBinaryIntoOpts(bytes.NewReader(buf.Bytes()), topo, collective.BinaryImportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != collective.BinaryIRVersion || info.Validation != "summary" {
+		t.Fatalf("info = %+v, want current version, summary-validated", info)
+	}
+	if info.Summary == nil {
+		t.Fatal("no validation summary reported")
+	}
+	var deps, hops int64
+	for i := range s.Transfers {
+		deps += int64(len(s.Transfers[i].Deps))
+		hops += int64(len(s.PathOf(&s.Transfers[i])))
+	}
+	sum := info.Summary
+	if sum.Transfers != int64(len(s.Transfers)) || sum.DepEdges != deps || sum.PathHops != hops {
+		t.Fatalf("summary %+v does not match schedule (%d transfers, %d deps, %d hops)",
+			sum, len(s.Transfers), deps, hops)
+	}
+	if sum.CoveredElems != int64(s.Elems) {
+		t.Fatalf("summary covers %d elems, schedule has %d", sum.CoveredElems, s.Elems)
+	}
+	if sum.LinksUsed <= 0 || sum.LinksUsed > int64(len(topo.Links())) {
+		t.Fatalf("summary links used = %d, topology has %d", sum.LinksUsed, len(topo.Links()))
+	}
+	// The trusted load is still the same schedule: full validation holds.
+	if err := got.ValidateStrict(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipSweep flips one bit at a time across the encoded body — meta,
+// every section, footer, trailer — and requires every variant to be
+// rejected at the given decode worker count. Flips that keep the
+// sections decodable and the summary cross-checks consistent must be
+// caught by a digest ("content hash mismatch"), and the sweep must
+// engage that backstop at least once.
+func flipSweep(t *testing.T, workers int) {
+	t.Helper()
+	topo, s := buildTorus4x4(t)
+	var buf bytes.Buffer
+	if err := collective.ExportBinary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	// Body starts after magic(4) + version varint(1) + root hash(32).
+	const bodyOff = 4 + 1 + 32
+	hashCaught := 0
+	// Step a few bytes at a time to keep the sweep fast; every sampled
+	// offset still covers meta, flow, transfer, dep, path and table bytes.
+	for off := bodyOff; off < len(good); off += 3 {
+		bad := bytes.Clone(good)
+		bad[off] ^= 0x01
+		_, _, err := collective.ImportBinaryIntoOpts(bytes.NewReader(bad), topo,
+			collective.BinaryImportOptions{Workers: workers})
+		if err == nil {
+			t.Fatalf("bit flip at offset %d accepted", off)
+		}
+		if strings.Contains(err.Error(), "content hash mismatch") {
+			hashCaught++
+		}
+	}
+	if hashCaught == 0 {
+		t.Fatal("no flip was caught by a content digest; the backstop never engaged")
+	}
+}
+
+// TestBinaryV3NoSingleBitFlipAccepted runs the single-bit flip sweep on
+// the sequential decode path.
+func TestBinaryV3NoSingleBitFlipAccepted(t *testing.T) {
+	flipSweep(t, 0)
+}
 
 // TestBinaryV3ParallelDecodeInvariance: importing one v3 file at any
 // worker count materializes the same schedule — pinned by re-exporting
 // each load and comparing bytes, content hash included.
 func TestBinaryV3ParallelDecodeInvariance(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus4x4(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -47,46 +143,17 @@ func TestBinaryV3ParallelDecodeInvariance(t *testing.T) {
 	}
 }
 
-// TestBinaryV3TamperRejectedParallel sweeps a single-bit flip across
-// the whole v3 body — meta, every section, footer, trailer — and
-// requires the parallel decoder to reject every variant. Flips that
-// keep the sections decodable must be caught by a digest ("content
-// hash mismatch"), and the sweep must engage that backstop at least
-// once. This is the sequential sweep of TestBinaryV2NoSingleBitFlipAccepted
-// run against the fan-out path, where a missed check would race instead
-// of fail.
+// TestBinaryV3TamperRejectedParallel runs the same sweep against the
+// fan-out path, where a missed check would race instead of fail.
 func TestBinaryV3TamperRejectedParallel(t *testing.T) {
-	topo, s := buildV2(t)
-	var buf bytes.Buffer
-	if err := collective.ExportBinary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	// Body starts after magic(4) + version varint(1) + root hash(32).
-	const bodyOff = 4 + 1 + 32
-	hashCaught := 0
-	for off := bodyOff; off < len(good); off += 3 {
-		bad := bytes.Clone(good)
-		bad[off] ^= 0x01
-		_, _, err := collective.ImportBinaryIntoOpts(bytes.NewReader(bad), topo,
-			collective.BinaryImportOptions{Workers: 8})
-		if err == nil {
-			t.Fatalf("bit flip at offset %d accepted", off)
-		}
-		if strings.Contains(err.Error(), "content hash mismatch") {
-			hashCaught++
-		}
-	}
-	if hashCaught == 0 {
-		t.Fatal("no flip was caught by a content digest; the backstop never engaged")
-	}
+	flipSweep(t, 8)
 }
 
 // TestBinaryV3RootHashCoversTrailer: flipping root-hash bytes
 // themselves must also reject — the stored root no longer matches the
 // recomputed one.
 func TestBinaryV3RootHashCoversTrailer(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus4x4(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -101,53 +168,11 @@ func TestBinaryV3RootHashCoversTrailer(t *testing.T) {
 	}
 }
 
-// TestBinaryV2ToV3RoundTrip: a legacy v2 entry still loads (stream
-// path, summary-validated), and re-encoding that load as v3 yields a
-// schedule that round-trips byte-identically — the upgrade path a cache
-// rebuild takes.
-func TestBinaryV2ToV3RoundTrip(t *testing.T) {
-	topo, s := buildV2(t)
-	var v2 bytes.Buffer
-	if err := collective.ExportBinaryV2(&v2, s); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, info, err := collective.ImportBinaryIntoOpts(bytes.NewReader(v2.Bytes()), topo,
-		collective.BinaryImportOptions{Workers: 8}) // Workers must be ignored on v2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 2 || info.Validation != "summary" {
-		t.Fatalf("info = %+v, want version 2, summary-validated", info)
-	}
-	var v3 bytes.Buffer
-	if err := collective.ExportBinary(&v3, fromV2); err != nil {
-		t.Fatal(err)
-	}
-	fromV3, info3, err := collective.ImportBinaryIntoOpts(bytes.NewReader(v3.Bytes()), topo,
-		collective.BinaryImportOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info3.Version != collective.BinaryIRVersion {
-		t.Fatalf("round-tripped version = %d, want %d", info3.Version, collective.BinaryIRVersion)
-	}
-	var want, have bytes.Buffer
-	if err := collective.ExportBinary(&want, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := collective.ExportBinary(&have, fromV3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatal("v2 -> v3 round trip changed the schedule")
-	}
-}
-
 // TestBinaryV3StreamFallback: a v3 file arriving on a plain io.Reader
 // (no ReaderAt/Seeker — a network stream, a pipe) still loads via the
 // buffered fallback, identically to the random-access path.
 func TestBinaryV3StreamFallback(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus4x4(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -170,29 +195,45 @@ func TestBinaryV3StreamFallback(t *testing.T) {
 	}
 }
 
-// TestBinaryV3VerifyFull: the escape hatch still forces the complete
-// validation pass on the sectioned format.
-func TestBinaryV3VerifyFull(t *testing.T) {
-	topo, s := buildV2(t)
+// verifyFull checks that the escape hatch forces the complete
+// validation pass (witness hash included) and reports it, at the given
+// decode worker count.
+func verifyFull(t *testing.T, workers int) {
+	t.Helper()
+	topo, s := buildTorus4x4(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	_, info, err := collective.ImportBinaryIntoOpts(bytes.NewReader(buf.Bytes()), topo,
-		collective.BinaryImportOptions{VerifyFull: true, Workers: 8})
+		collective.BinaryImportOptions{VerifyFull: true, Workers: workers})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	if info.Validation != "full" {
-		t.Fatalf("validation = %q, want full", info.Validation)
+		t.Fatalf("workers=%d: validation = %q, want full", workers, info.Validation)
 	}
+}
+
+// TestBinaryV2VerifyFull runs the VerifyFull check on the sequential
+// decode path. It keeps the name it had when the trust machinery
+// (summary, digests, VerifyFull) arrived with format version 2; it now
+// exercises the current format.
+func TestBinaryV2VerifyFull(t *testing.T) {
+	verifyFull(t, 0)
+}
+
+// TestBinaryV3VerifyFull runs the VerifyFull check on the parallel
+// decode path of the sectioned format.
+func TestBinaryV3VerifyFull(t *testing.T) {
+	verifyFull(t, 8)
 }
 
 // TestBinaryV3Truncated: cutting the file at any of a few points —
 // inside the trailer, the footer, a section — must reject, never hang
 // or mis-decode.
 func TestBinaryV3Truncated(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus4x4(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -209,7 +250,7 @@ func TestBinaryV3Truncated(t *testing.T) {
 // TestScheduleMemBytes: the memory-cache cost function scales with the
 // schedule's actual contents and never returns zero for a real plan.
 func TestScheduleMemBytes(t *testing.T) {
-	_, s := buildV2(t)
+	_, s := buildTorus4x4(t)
 	got := s.MemBytes()
 	if got <= 0 {
 		t.Fatalf("MemBytes = %d, want > 0", got)

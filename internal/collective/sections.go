@@ -1,9 +1,8 @@
 package collective
 
-// Binary IR version 3: the sectioned layout that makes warm plan loads
-// parallel. Where v2 is one varint stream hashed end to end — inherently
-// sequential to decode — v3 splits the schedule into independently
-// decodable sections and stripes:
+// The binary IR layout (version 3): sections that make warm plan loads
+// parallel. The schedule is split into independently decodable sections
+// and stripes:
 //
 //	magic "MTIR" | uvarint version=3 | root sha256[32]
 //	meta        (algorithm, fingerprint, elems, steps, summary, flow count)
@@ -98,9 +97,9 @@ type sectionEntry struct {
 }
 
 // sliceDecoder decodes uvarints from a fully buffer-resident section.
-// Unlike binStream there is no window to refill, so the common case — a
-// one-byte varint — inlines to a bounds check and a compare; section
-// decode throughput is what the warm-load budget is spent on.
+// There is no window to refill, so the common case — a one-byte varint —
+// inlines to a bounds check and a compare; section decode throughput is
+// what the warm-load budget is spent on.
 type sliceDecoder struct {
 	buf []byte
 	pos int
@@ -214,7 +213,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// bufWriteSeeker adapts the streaming v3 exporter to non-seekable sinks:
+// bufWriteSeeker adapts the streaming exporter to non-seekable sinks:
 // the stream assembles in memory, then ships in one Write. Only the
 // hash-patch seek is ever used, so the implementation stays minimal.
 type bufWriteSeeker struct {
@@ -251,15 +250,15 @@ func (b *bufWriteSeeker) Seek(off int64, whence int) (int64, error) {
 	return b.pos, nil
 }
 
-// encodeMetaV3 renders the meta block: everything the loader needs
-// before it can size arenas and fan out — header fields, the validation
-// summary, and the flow count (flow data itself is a section).
 // sint writes one zigzag-coded signed value — the encoder half of
 // sliceDecoder.sint.
 func (w *binWriter) sint(v int64) {
 	w.uint(uint64(v)<<1 ^ uint64(v>>63))
 }
 
+// encodeMetaV3 renders the meta block: everything the loader needs
+// before it can size arenas and fan out — header fields, the validation
+// summary, and the flow count (flow data itself is a section).
 func encodeMetaV3(s *Schedule, sum ValidationSummary) []byte {
 	bw := &binWriter{buf: make([]byte, 0, 256)}
 	bw.str(s.Algorithm)
@@ -392,10 +391,9 @@ func encodeV3Sections(cw *countWriter, s *Schedule, sum ValidationSummary) ([]se
 	return entries, nil
 }
 
-// exportBinaryV3 writes the current sectioned format. Seekable sinks
-// stream in one pass with the root hash patched at the end, exactly like
-// the v2 exporter; everything else assembles in memory first. Both paths
-// emit identical bytes.
+// exportBinaryV3 writes the sectioned format. Seekable sinks stream in
+// one pass with the root hash patched at the end; everything else
+// assembles in memory first. Both paths emit identical bytes.
 func exportBinaryV3(w io.Writer, s *Schedule, sum ValidationSummary) error {
 	if ws, ok := w.(io.WriteSeeker); ok {
 		return exportBinaryV3Stream(ws, s, sum)
@@ -590,7 +588,7 @@ func (ld *v3Loader) load(info BinaryLoadInfo) (*Schedule, BinaryLoadInfo, error)
 	info.Summary = &ld.sum
 	info.Transfers = len(ld.s.Transfers)
 	if ld.opts.VerifyFull {
-		if err := verifyFullV2(ld.s, &ld.sum, o); err != nil {
+		if err := verifyFull(ld.s, &ld.sum, o); err != nil {
 			return nil, info, err
 		}
 		info.Validation = "full"
@@ -686,9 +684,9 @@ func (ld *v3Loader) readTable() ([]byte, error) {
 	return meta, nil
 }
 
-// parseMeta decodes the meta block and applies the same header and
-// summary-size hygiene as the v2 path — with the advantage that the
-// body size is known exactly, not hinted.
+// parseMeta decodes the meta block and applies the header and
+// summary-size hygiene, bounding every summary-driven allocation by the
+// body size, which is known exactly.
 func (ld *v3Loader) parseMeta(meta []byte) error {
 	d := &sliceDecoder{buf: meta}
 	algorithm := d.str(maxStringLen)
@@ -986,8 +984,9 @@ func (ld *v3Loader) decodePaths(d *sliceDecoder, e *sectionEntry, w int) error {
 
 // crossCheck is the post-join summary validation: the per-worker link
 // bitmaps union to the summary's distinct-link count, steps bound the
-// decoded maximum, and coverage matches — the same cross-checks the v2
-// path runs, minus the ones the section tables enforce structurally.
+// decoded maximum, and coverage matches. The dependency and path-hop
+// counts need no check here: the section tables enforce them
+// structurally.
 func (ld *v3Loader) crossCheck() error {
 	var merged *linkBitmap
 	for _, bm := range ld.bitmaps {

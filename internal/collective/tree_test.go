@@ -1,15 +1,18 @@
-package collective
+package collective_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"multitree/internal/collective"
+	"multitree/internal/core"
 	"multitree/internal/topology"
 )
 
 // chainTree builds a unary tree root -> 1 -> 2 -> 3 on the 2x2 mesh.
-func chainTree() *Tree {
-	tr := NewTree(0, 0, 4)
+func chainTree() *collective.Tree {
+	tr := collective.NewTree(0, 0, 4)
 	tr.SetEdge(0, 1, 1)
 	tr.SetEdge(1, 3, 2)
 	tr.SetEdge(3, 2, 3)
@@ -23,7 +26,7 @@ func TestTreeValidateAccepts(t *testing.T) {
 }
 
 func TestTreeValidateRejectsDisconnected(t *testing.T) {
-	tr := NewTree(0, 0, 4)
+	tr := collective.NewTree(0, 0, 4)
 	tr.SetEdge(0, 1, 1)
 	if err := tr.Validate(); err == nil {
 		t.Error("tree missing nodes validated")
@@ -31,7 +34,7 @@ func TestTreeValidateRejectsDisconnected(t *testing.T) {
 }
 
 func TestTreeValidateRejectsNonMonotoneSteps(t *testing.T) {
-	tr := NewTree(0, 0, 3)
+	tr := collective.NewTree(0, 0, 3)
 	tr.SetEdge(0, 1, 2)
 	tr.SetEdge(1, 2, 1) // child attaches before its parent
 	if err := tr.Validate(); err == nil {
@@ -40,7 +43,7 @@ func TestTreeValidateRejectsNonMonotoneSteps(t *testing.T) {
 }
 
 func TestTreeValidateRejectsCycle(t *testing.T) {
-	tr := NewTree(0, 0, 3)
+	tr := collective.NewTree(0, 0, 3)
 	tr.SetEdge(0, 1, 1)
 	tr.SetEdge(2, 2, 2) // self-parent cycle (never reaches root)
 	if err := tr.Validate(); err == nil {
@@ -49,7 +52,7 @@ func TestTreeValidateRejectsCycle(t *testing.T) {
 }
 
 func TestTreeChildrenSorted(t *testing.T) {
-	tr := NewTree(0, 0, 4)
+	tr := collective.NewTree(0, 0, 4)
 	tr.SetEdge(0, 3, 2)
 	tr.SetEdge(0, 1, 1)
 	tr.SetEdge(0, 2, 1)
@@ -75,7 +78,7 @@ func TestTreeString(t *testing.T) {
 // steps and dependencies.
 func TestTreesToScheduleStructure(t *testing.T) {
 	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
-	s, err := TreesToSchedule("unit", topo, 400, []*Tree{chainTree()})
+	s, err := collective.TreesToSchedule("unit", topo, 400, []*collective.Tree{chainTree()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestTreesToScheduleStructure(t *testing.T) {
 	var reduceSteps, gatherSteps []int
 	for i := range s.Transfers {
 		tr := &s.Transfers[i]
-		if tr.Op == Reduce {
+		if tr.Op == collective.Reduce {
 			reduceSteps = append(reduceSteps, tr.Step)
 			// Reduce direction is child -> parent: deepest node 2 sends
 			// first.
@@ -112,7 +115,7 @@ func TestTreesToScheduleStructure(t *testing.T) {
 	}
 	// Semantics: all-reduce for flow 0's segment only. With one tree the
 	// whole vector is flow 0, so this is a full all-reduce.
-	if err := VerifyAllReduce(s, RampInputs(4, 400)); err != nil {
+	if err := collective.VerifyAllReduce(s, collective.RampInputs(4, 400)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,14 +124,14 @@ func TestTreesToScheduleStructure(t *testing.T) {
 // reversed allocated path.
 func TestTreesToSchedulePinnedPaths(t *testing.T) {
 	topo := topology.FatTree(2, 2, 2, topology.DefaultLinkConfig())
-	tr := NewTree(0, 0, 4)
+	tr := collective.NewTree(0, 0, 4)
 	tr.SetEdge(0, 1, 1)
 	tr.SetEdge(0, 2, 2)
 	tr.SetEdge(2, 3, 3)
 	tr.Path[1] = topo.Route(0, 1)
 	tr.Path[2] = topo.Route(0, 2)
 	tr.Path[3] = topo.Route(2, 3)
-	s, err := TreesToSchedule("unit", topo, 100, []*Tree{tr})
+	s, err := collective.TreesToSchedule("unit", topo, 100, []*collective.Tree{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +156,37 @@ func TestTreesToSchedulePinnedPaths(t *testing.T) {
 
 func TestTreesToScheduleRejectsBadTree(t *testing.T) {
 	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
-	bad := NewTree(0, 0, 4)
-	if _, err := TreesToSchedule("unit", topo, 100, []*Tree{bad}); err == nil {
+	bad := collective.NewTree(0, 0, 4)
+	if _, err := collective.TreesToSchedule("unit", topo, 100, []*collective.Tree{bad}); err == nil {
 		t.Error("disconnected tree lowered without error")
+	}
+}
+
+// TestTreesToScheduleParallelDeterministic: the lowered schedule — and
+// therefore its binary IR, content hash included — is byte-identical at
+// every worker count.
+func TestTreesToScheduleParallelDeterministic(t *testing.T) {
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	trees, err := core.BuildTrees(topo, core.DefaultOptions(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		s, err := collective.TreesToScheduleParallel(core.Algorithm, topo, 1<<12, trees, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := collective.ExportBinary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			want = buf
+			continue
+		}
+		if !bytes.Equal(want.Bytes(), buf.Bytes()) {
+			t.Fatalf("workers=%d lowers to different bytes than workers=1", workers)
+		}
 	}
 }

@@ -34,16 +34,6 @@ func (b bitset) zero() {
 	}
 }
 
-// intersects reports whether b and o share a set bit.
-func (b bitset) intersects(o bitset) bool {
-	for i, w := range b {
-		if w&o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // intersectsDiff reports whether b shares a set bit with the symmetric
 // difference of x and y — the bits where the two sets disagree. The
 // sharded merge uses it to ask "did this search read any link whose

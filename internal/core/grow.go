@@ -13,9 +13,9 @@ import (
 
 // This file is the tree-growth engine behind BuildTrees: Algorithm 1's
 // main loop over a word-packed per-step link pool, with memoized search
-// failures and optional speculative parallel turns. Whatever the worker
+// failures and optional sharded speculative turns. Whatever the shard
 // count, the trees produced are byte-identical to a sequential run —
-// parallelism and memoization only skip work whose outcome is already
+// sharding and memoization only skip work whose outcome is already
 // proven.
 //
 // Three facts carry all of the pruning, each a consequence of the same
@@ -30,12 +30,12 @@ import (
 //     seen its entire reachable neighborhood already in the tree; it is
 //     dead for every future step too (treeMemo.dead).
 //
-// Parallel rounds speculate: every still-active tree searches the
-// round-start pool snapshot concurrently while recording the links it
+// Sharded rounds run speculatively: each shard's trees search a private
+// copy of the step's pool concurrently while recording the links they
 // read. Commits then replay the sequential turn order; a speculative
-// result whose read set is disjoint from the links earlier turns claimed
-// is provably the result the sequential search would have produced, and
-// only the others re-run against the live pool.
+// result whose read set saw exactly the pool the sequential search
+// would have seen is provably the sequential result, and only the
+// others re-run against the live pool (roundSharded).
 
 // growth is the scratch state of one Algorithm 1 run.
 type growth struct {
@@ -58,7 +58,7 @@ type growth struct {
 	ecc []int
 
 	avail bitset      // the step's link pool: set = free
-	seq   *pathFinder // the sequential / commit-path finder
+	seq   *pathFinder // the sequential / replay finder
 
 	c obs.PlanCounters
 
@@ -66,24 +66,18 @@ type growth struct {
 	orderIdx []int
 	orderRem []int
 
-	// Speculative-round state, allocated for Workers > 1 or Shards > 1.
-	workers     int
-	finders     []*pathFinder
-	roundAvail  bitset // pool snapshot the round's speculation ran against
-	claimed     bitset // links committed by earlier turns this round
-	active      []int  // trees taking a turn this round, in turn order
-	specChild   []topology.NodeID
-	specParent  []topology.NodeID
-	specPath    [][]topology.LinkID
-	specTouched []bitset
-	cursor      atomic.Int64
-
 	// Sharded-round state, allocated only for Shards > 1. Each shard
 	// owns a geometric slice of the roots, a private copy of the step's
 	// pool, and its own provisional-mode finder; shardSpec tracks the
 	// links each shard's speculation claimed, rebuilt turn by turn
 	// during the merge.
 	shards        int
+	claimed       bitset // links committed by earlier turns this round
+	active        []int  // trees taking a turn this round, in turn order
+	specChild     []topology.NodeID
+	specParent    []topology.NodeID
+	specPath      [][]topology.LinkID
+	specTouched   []bitset
 	shardOf       []int // shard index per tree
 	shardAvail    []bitset
 	shardSpec     []bitset
@@ -127,7 +121,7 @@ func newGrowth(topo *topology.Topology, opts Options) (*growth, error) {
 	if opts.Trees > 0 && opts.Trees < n {
 		k = opts.Trees
 	}
-	g := &growth{topo: topo, opts: opts, n: n, k: k, workers: opts.Workers}
+	g := &growth{topo: topo, opts: opts, n: n, k: k}
 	g.trees = make([]*collective.Tree, k)
 	g.inTree = make([][]bool, k)
 	g.members = make([]int, k)
@@ -158,21 +152,9 @@ func newGrowth(topo *topology.Topology, opts Options) (*growth, error) {
 	g.orderIdx = make([]int, k)
 	g.orderRem = make([]int, k)
 	if opts.Shards > 1 {
-		g.shards = opts.Shards
-		if g.shards > k {
-			g.shards = k
-		}
+		g.shards = min(opts.Shards, k)
 	}
-	if g.workers > 1 {
-		g.finders = make([]*pathFinder, g.workers)
-		g.finders[0] = g.seq
-		for i := 1; i < g.workers; i++ {
-			g.finders[i] = newPathFinder(topo, opts.ReverseNeighborOrder)
-			g.finders[i].shortestFirst = opts.ShortestPathFirst
-		}
-		g.roundAvail = newBitset(len(topo.Links()))
-	}
-	if g.workers > 1 || g.shards > 1 {
+	if g.shards > 1 {
 		g.claimed = newBitset(len(topo.Links()))
 		g.active = make([]int, 0, k)
 		g.specChild = make([]topology.NodeID, k)
@@ -182,8 +164,6 @@ func newGrowth(topo *topology.Topology, opts Options) (*growth, error) {
 		for i := range g.specTouched {
 			g.specTouched[i] = newBitset(len(topo.Links()))
 		}
-	}
-	if g.shards > 1 {
 		g.shardOf = shardAssign(topo, k, g.shards)
 		g.shardAvail = make([]bitset, g.shards)
 		g.shardSpec = make([]bitset, g.shards)
@@ -219,17 +199,12 @@ func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 		addedThisStep := 0
 		for {
 			var added int
-			switch {
-			case g.shards > 1:
+			if g.shards > 1 && g.shardPause == 0 {
+				added = g.roundSharded(t)
+			} else {
 				if g.shardPause > 0 {
 					g.shardPause--
-					added = g.roundSequential(t)
-				} else {
-					added = g.roundSharded(t)
 				}
-			case g.workers > 1:
-				added = g.roundParallel(t)
-			default:
 				added = g.roundSequential(t)
 			}
 			if added == 0 {
@@ -303,99 +278,6 @@ func (g *growth) roundSequential(t int32) int {
 		added++
 	}
 	return added
-}
-
-// roundParallel runs the same round speculatively: all active trees
-// search the round-start pool snapshot concurrently, then results commit
-// in sequential turn order, replaying only the searches whose read set
-// overlaps links claimed by an earlier turn. The committed trees are
-// exactly the sequential round's.
-func (g *growth) roundParallel(t int32) int {
-	g.active = g.active[:0]
-	for _, ti := range g.order() {
-		if g.members[ti] == g.n || g.stalledAt[ti] == t {
-			continue
-		}
-		g.active = append(g.active, ti)
-	}
-	if len(g.active) == 0 {
-		return 0
-	}
-	if len(g.active) == 1 {
-		// One turn left: speculation buys nothing.
-		ti := g.active[0]
-		child, parent, path := g.seq.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
-		if child < 0 {
-			g.stalledAt[ti] = t
-			return 0
-		}
-		g.commit(ti, child, parent, path, t)
-		return 1
-	}
-	copy(g.roundAvail, g.avail)
-	g.claimed.zero()
-	g.cursor.Store(0)
-	w := g.workers
-	if w > len(g.active) {
-		w = len(g.active)
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < w; i++ {
-		wg.Add(1)
-		go func(f *pathFinder) {
-			defer wg.Done()
-			g.speculate(f, t)
-		}(g.finders[i])
-	}
-	g.speculate(g.seq, t)
-	wg.Wait()
-
-	added := 0
-	for _, ti := range g.active {
-		child, parent, path := g.specChild[ti], g.specParent[ti], g.specPath[ti]
-		if child < 0 {
-			// Failed against a superset of the live pool: the live search
-			// would fail too.
-			g.stalledAt[ti] = t
-			continue
-		}
-		if g.specTouched[ti].intersects(g.claimed) {
-			// An earlier turn claimed a link this search read; replay it
-			// against the live pool, exactly as the sequential round would
-			// have run it.
-			child, parent, path = g.seq.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
-			if child < 0 {
-				g.stalledAt[ti] = t
-				continue
-			}
-		}
-		for _, l := range path {
-			g.claimed.set(int(l))
-		}
-		g.commit(ti, child, parent, path, t)
-		added++
-	}
-	return added
-}
-
-// speculate is the worker body: trees are pulled off a shared cursor, so
-// each active tree is searched by exactly one goroutine — its memo is
-// written race-free, and the failure stamps stay valid for the commit
-// phase because speculation ran with strictly more links available.
-func (g *growth) speculate(f *pathFinder, t int32) {
-	for {
-		i := int(g.cursor.Add(1)) - 1
-		if i >= len(g.active) {
-			return
-		}
-		ti := g.active[i]
-		tb := g.specTouched[ti]
-		tb.zero()
-		f.touched = tb
-		c, p, path := f.find(g.parents[ti], g.inTree[ti], g.roundAvail, g.memo[ti], t)
-		f.touched = nil
-		g.specChild[ti], g.specParent[ti], g.specPath[ti] = c, p, path
-	}
 }
 
 // roundSharded runs one round sharded: the active trees partition by
@@ -514,10 +396,10 @@ func (g *growth) roundSharded(t int32) int {
 	// roughly turns/p + replays search-times against the sequential
 	// round's turns — worth it only while the replay share stays under
 	// 1 - 1/p (taken with a 3/4 margin here, in integers:
-	// replays/turns > 3(p-1)/4p pauses). Which rounds speculate is pure
-	// scheduling; the trees built are byte-identical either way, since
-	// the merge replays exactly the turns whose speculation diverged
-	// from sequential state.
+	// replays/turns > 3(p-1)/4p pauses). Which rounds run
+	// speculatively is pure scheduling; the trees built are
+	// byte-identical either way, since the merge replays exactly the
+	// turns whose speculation diverged from sequential state.
 	if p := min(busy, g.shards, runtime.GOMAXPROCS(0)); replays*4*p > len(g.active)*3*(p-1) {
 		if g.shardPauseLen == 0 {
 			g.shardPauseLen = shardProbeInterval
@@ -619,11 +501,6 @@ func (g *growth) commit(ti int, child, parent topology.NodeID, path []topology.L
 // fold accumulates every finder's search counters into the run's.
 func (g *growth) fold() {
 	g.seq.fold(&g.c)
-	for _, f := range g.finders {
-		if f != g.seq {
-			f.fold(&g.c)
-		}
-	}
 	for _, f := range g.shardFinders {
 		f.fold(&g.c)
 	}

@@ -89,26 +89,25 @@ type Options struct {
 	// are plain integer fields and are maintained either way.
 	Observer obs.PlanObserver
 
-	// Workers grows independent trees in parallel goroutines (<= 1 means
-	// sequential). Each round speculates every active tree's search
-	// against the round-start link pool and commits in the sequential
-	// turn order, replaying searches invalidated by earlier commits — so
-	// the trees built are byte-identical for every worker count. The
-	// search counters are deterministic too, though the parallel path
-	// skips different redundant work than the sequential one, so counter
-	// totals may differ between Workers <= 1 and Workers > 1.
+	// Workers bounds the goroutines Build lowers trees to a schedule on,
+	// and the ones the ByRemainingHeight eccentricity pass fans out
+	// across on fabrics that need per-source searches (<= 1 means
+	// sequential). It does not parallelize tree growth on its own; that
+	// takes Shards. The schedule built is byte-identical for every
+	// worker count.
 	Workers int
 
 	// Shards partitions the root set geometrically (grid quadrants when
 	// the topology exposes grid dimensions, contiguous root bands
 	// otherwise) and grows each shard's trees against a private copy of
 	// the step's link pool on its own goroutine. The per-shard results
-	// merge through the same deterministic commit replay as Workers, so
-	// the trees built are byte-identical for every shard count — sharding
-	// only changes how much search work runs concurrently and how much
-	// the merge replays. <= 1 means unsharded; Shards takes precedence
-	// over Workers for the round itself (Workers still parallelizes the
-	// eccentricity pass and lowering).
+	// merge through a deterministic commit replay in the sequential turn
+	// order, so the trees built are byte-identical for every shard count
+	// — sharding only changes how much search work runs concurrently and
+	// how much the merge replays. <= 1 means unsharded, sequential
+	// growth. The search counters are deterministic too, though sharded
+	// rounds skip different redundant work than sequential ones, so
+	// counter totals may differ between Shards <= 1 and Shards > 1.
 	Shards int
 }
 

@@ -9,10 +9,12 @@ import (
 )
 
 // TestParallelGrowthIdenticalSchedules pins the determinism contract of
-// speculative parallel growth: for any worker count, Build emits a
-// schedule byte-identical (through the canonical IR encoding) to the
-// sequential one, on direct and switch-based fabrics, under both tree
-// orders and both allocation strategies.
+// Workers: tree growth stays sequential, and for any worker count the
+// parallel lowering and eccentricity pass make Build emit a schedule
+// byte-identical (through the canonical IR encoding) to the sequential
+// one, on direct and switch-based fabrics, under both tree orders and
+// both allocation strategies. Sharded growth has its own contract in
+// TestShardedGrowthIdenticalSchedules.
 func TestParallelGrowthIdenticalSchedules(t *testing.T) {
 	cfgs := []struct {
 		name string
@@ -62,8 +64,8 @@ func exportBuild(t *testing.T, topo *topology.Topology, opts Options, workers in
 }
 
 // TestParallelGrowthTreesMatch checks BuildTrees (the no-lowering entry
-// point) too: edges, steps and pinned paths must match the sequential
-// trees exactly.
+// point) too: with Workers set, edges, steps and pinned paths must match
+// the sequential trees exactly.
 func TestParallelGrowthTreesMatch(t *testing.T) {
 	topo := topology.Torus(6, 6, cfg())
 	opts := DefaultOptions(topo)

@@ -81,7 +81,7 @@ type pathFinder struct {
 	linkConflicts int64
 
 	// touched, when non-nil, records every link whose pool bit a search
-	// read — the read set that decides whether a speculative parallel
+	// read — the read set that decides whether a sharded speculative
 	// search may be committed without a replay.
 	touched bitset
 

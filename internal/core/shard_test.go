@@ -13,7 +13,8 @@ import (
 // sharded tree growth: for any shard count, Build emits a schedule
 // byte-identical (through the canonical binary IR encoding) to the
 // unsharded one — on grid fabrics (tile assignment), switch fabrics and
-// degraded custom fabrics (band assignment), under both tree orders.
+// degraded custom fabrics (band assignment), under both tree orders and
+// both allocation strategies.
 func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 	cfgs := []struct {
 		name string
@@ -21,6 +22,7 @@ func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 		opts func(*topology.Topology) Options
 	}{
 		{"mesh-16x16", topology.Mesh(16, 16, cfg()), DefaultOptions},
+		{"mesh-4x4", topology.Mesh(4, 4, cfg()), DefaultOptions},
 		{"torus-8x8", topology.Torus(8, 8, cfg()), DefaultOptions},
 		{"torus-8x8-byheight", topology.Torus(8, 8, cfg()), func(*topology.Topology) Options {
 			return Options{Order: ByRemainingHeight}
@@ -29,7 +31,11 @@ func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 			return Options{ReverseNeighborOrder: true}
 		}},
 		{"bigraph-4x4", topology.BiGraph(4, 4, cfg()), DefaultOptions}, // Auto + band assignment
-		{"torus-8x8-faulted", degradedTorus8x8(t), DefaultOptions},     // custom rebuild: no grid coords
+		{"bigraph-shortest", topology.BiGraph(4, 4, cfg()), func(*topology.Topology) Options {
+			return Options{ShortestPathFirst: true}
+		}},
+		{"fattree", topology.FatTree(4, 4, 4, cfg()), DefaultOptions},
+		{"torus-8x8-faulted", degradedTorus8x8(t), DefaultOptions}, // custom rebuild: no grid coords
 	}
 	for _, tc := range cfgs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,8 +46,9 @@ func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 					t.Fatalf("shards=%d schedule differs from unsharded build", shards)
 				}
 			}
-			// Shards wins over Workers for the growth rounds; the
-			// combination must stay byte-identical too.
+			// Shards drives the growth rounds and Workers the lowering
+			// and eccentricities; the combination must stay
+			// byte-identical too.
 			got := exportBinaryBuild(t, tc.topo, tc.opts(tc.topo), 2, 4)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("workers=2 shards=4 schedule differs from unsharded build")

@@ -11,15 +11,15 @@
 //
 //	<dir>/<sha256 of the canonical key material>.plan
 //
-// Loads stream through collective.ImportBinaryIntoOpts. A current-version
-// entry carries the exporter's validation summary and content hash, so a
-// hit is verified in O(bytes) — fingerprint match, summary cross-checks,
-// sha256 over the stream — instead of re-running the full DAG/path
+// Loads go through collective.ImportBinaryIntoOpts. An entry carries the
+// exporter's validation summary and content digests, so a hit is
+// verified in O(bytes) — fingerprint match, summary cross-checks,
+// sha256 over every section — instead of re-running the full DAG/path
 // validation over millions of transfers; Cache.VerifyFull restores the
-// full pass, and legacy (previous-version) entries always get it. Either
-// way a corrupted, tampered, or stale entry is deleted, logged, and
-// reported as a miss — never an error — so one bad file costs one
-// rebuild. Stores write to a temp file and rename, so concurrent writers
+// full pass. A corrupted, tampered, or stale entry — including one in
+// an older binary IR version, which the importer no longer reads — is
+// deleted, logged, and reported as a miss, never an error, so one bad
+// file costs one rebuild. Stores write to a temp file and rename, so concurrent writers
 // (a parallel sweep planning several sizes) and crashes can never leave
 // a half-written entry behind. An optional size cap evicts
 // least-recently-used entries (hits refresh an entry's mtime).
@@ -57,9 +57,9 @@ type Stats struct {
 	Evictions    int64
 
 	// SummaryLoads counts hits accepted on the entry's embedded
-	// validation summary + content hash; FullLoads counts hits that ran
-	// the complete ValidateStrict pass (legacy-version entries, or
-	// VerifyFull). SummaryLoads + FullLoads == Hits.
+	// validation summary + content digests; FullLoads counts hits that
+	// VerifyFull re-validated with the complete ValidateStrict pass.
+	// SummaryLoads + FullLoads == Hits.
 	SummaryLoads int64
 	FullLoads    int64
 }
@@ -170,18 +170,17 @@ type GetOptions struct {
 	// Observer receives the load's planner phases (decode, validate).
 	Observer obs.PlanObserver
 
-	// Workers bounds the decode fan-out for current-version entries,
-	// exactly as collective.BinaryImportOptions.Workers: sections of the
-	// entry decode concurrently on up to Workers goroutines, and the
+	// Workers bounds the decode fan-out, exactly as
+	// collective.BinaryImportOptions.Workers: sections of the entry
+	// decode concurrently on up to Workers goroutines, and the
 	// materialized schedule is byte-identical at any count. <= 1 decodes
-	// sequentially; legacy entry versions ignore it.
+	// sequentially.
 	Workers int
 }
 
-// GetOpts is Get with per-load options. The entry streams from disk
-// through a bounded buffer — or, for current-version entries with
-// Workers > 1, is read section-by-section in parallel; nothing
-// materializes the whole file.
+// GetOpts is Get with per-load options. The entry is read from disk
+// section by section with positioned reads — in parallel with
+// Workers > 1 — so nothing materializes the whole file.
 func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s *collective.Schedule, bytesRead int64, ok bool) {
 	f, err := os.Open(c.path(key))
 	if err != nil {
@@ -199,7 +198,6 @@ func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s
 	}
 	s, li, err := collective.ImportBinaryIntoOpts(f, topo, collective.BinaryImportOptions{
 		VerifyFull: c.VerifyFull,
-		SizeHint:   size,
 		Observer:   opts.Observer,
 		Workers:    opts.Workers,
 	})

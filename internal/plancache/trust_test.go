@@ -1,13 +1,14 @@
 package plancache_test
 
-// Tests of the trusted-load path: current-version entries are accepted
-// on their store-time validation summary + content hash, legacy entries
-// and VerifyFull fall back to the full validation pass, and any
-// tampering — even tampering that leaves the summary intact — degrades
-// to a rebuild, never a wrong schedule.
+// Tests of the trusted-load path: entries are accepted on their
+// store-time validation summary + content digests, VerifyFull adds the
+// full validation pass, and any tampering — even tampering that leaves
+// the summary intact — or an entry in an older binary IR version
+// degrades to a rebuild, never a wrong schedule.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,33 +118,53 @@ func TestTamperedEntryRebuilt(t *testing.T) {
 	}
 }
 
-// TestStaleVersionFullValidation: an entry written in the legacy binary
-// version (no summary) still loads — through the full validation pass —
-// so a cache populated by an older build keeps working after an upgrade
-// that accepts the old format.
-func TestStaleVersionFullValidation(t *testing.T) {
+// TestOldVersionEntryRebuilt: an entry whose header carries binary IR
+// version 2 — what an older build stored — is refused by the importer,
+// then logged, deleted and counted as a miss like any invalid entry;
+// the rebuilt entry loads back as a summary-validated hit.
+func TestOldVersionEntryRebuilt(t *testing.T) {
 	dir := t.TempDir()
 	c, err := plancache.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var warnings []string
+	c.Log = func(format string, args ...any) {
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	}
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
 	key := plancache.Key(topo, "multitree", 1024, 0)
-	var v1 bytes.Buffer
-	if err := collective.ExportBinaryV1(&v1, s); err != nil {
+	var cur bytes.Buffer
+	if err := collective.ExportBinary(&cur, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key+".plan"), v1.Bytes(), 0o644); err != nil {
+	old := cur.Bytes()
+	old[4] = 2 // the version varint follows the 4-byte magic
+	path := filepath.Join(dir, key+".plan")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.Get(key, topo); ok {
+		t.Fatal("version-2 entry served as a hit")
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "discarding invalid entry") ||
+		!strings.Contains(warnings[0], "unsupported binary schedule version 2") {
+		t.Fatalf("warnings = %q, want one discard warning naming version 2", warnings)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("version-2 entry not deleted")
+	}
+	if _, err := c.Put(key, s); err != nil {
 		t.Fatal(err)
 	}
 	got, _, ok := c.Get(key, topo)
 	if !ok {
-		t.Fatal("legacy-version entry did not load")
+		t.Fatal("miss after re-store")
 	}
 	st := c.Stats()
-	if st.FullLoads != 1 || st.SummaryLoads != 0 {
-		t.Fatalf("stats = %+v, want the legacy hit full-validated", st)
+	if st.Misses != 1 || st.Hits != 1 || st.SummaryLoads != 1 || st.FullLoads != 0 {
+		t.Fatalf("stats = %+v, want 1 version miss then 1 summary hit", st)
 	}
 	var want, have bytes.Buffer
 	if err := collective.Export(&want, s); err != nil {
@@ -153,6 +174,6 @@ func TestStaleVersionFullValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatal("legacy entry's schedule differs from the built one")
+		t.Fatal("rebuilt entry's schedule differs from the built one")
 	}
 }

@@ -113,8 +113,8 @@ func (c *PlanCache) Dir() string { return c.c.Dir() }
 
 // PlanCacheStats is a snapshot of a cache's traffic counters.
 // SummaryLoads counts hits accepted on the entry's store-time validation
-// summary + content hash; FullLoads counts hits that re-ran the complete
-// schedule validation (legacy entries, or VerifyFull).
+// summary + content digests; FullLoads counts hits that VerifyFull
+// re-validated with the complete schedule validation pass.
 type PlanCacheStats struct {
 	Hits         int64
 	Misses       int64
@@ -172,9 +172,9 @@ func (c *PlanMemCache) Stats() PlanMemCacheStats {
 // change the schedule built, only how fast it is produced and what is
 // recorded along the way. The zero value is exactly BuildSchedule.
 type PlanOptions struct {
-	// Workers bounds planner parallelism for algorithms with a parallel
-	// construction path (MultiTree's speculative tree growth); <= 1 means
-	// sequential.
+	// Workers bounds planner parallelism: MultiTree's tree lowering and
+	// eccentricity pass, and the section decode of plan-cache loads;
+	// <= 1 means sequential.
 	Workers int
 
 	// Cache, when non-nil, is probed before planning and updated after.
