@@ -941,37 +941,13 @@ func BenchmarkLowerMesh32x32(b *testing.B) {
 	b.ReportMetric(float64(len(s.Transfers)), "transfers")
 }
 
-// BenchmarkGrowShardedMesh32x32 measures sharded tree growth at the
-// 1024-node scale: roots partitioned into four fabric quadrants, each
-// shard speculating on a snapshot of the link pool, merged through the
-// deterministic commit replay. The trees are byte-identical to the
-// sequential ones at any shard count — what this buys is wall time on
-// multi-core hosts and a bounded replay rate on single-core ones.
-func BenchmarkGrowShardedMesh32x32(b *testing.B) {
-	topo, err := topospec.Parse("mesh-32x32")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.DefaultOptions(topo)
-	opts.Shards = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	var trees []*collective.Tree
-	for i := 0; i < b.N; i++ {
-		trees, err = core.BuildTrees(topo, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(trees)), "trees")
-}
-
 // BenchmarkPacketEngineSteadyState is the zero-allocation guard for the
 // discrete-event hot path: a reusable PacketSim re-simulates a 16 MiB
-// MultiTree all-reduce on an 8x8 Torus, reusing its event heap, packet
-// arena and link ring deques across runs. The benchmark fails outright if
-// the steady-state event loop allocates, so an accidental closure or
-// slice regrowth in the engine cannot land silently.
+// MultiTree all-reduce on an 8x8 Torus, reusing its timing-wheel event
+// queue, packet arena and link ring deques across runs. The benchmark
+// fails outright if the steady-state event loop allocates, so an
+// accidental closure or slice regrowth in the engine cannot land
+// silently.
 func BenchmarkPacketEngineSteadyState(b *testing.B) {
 	topo, err := topospec.Parse("torus-8x8")
 	if err != nil {

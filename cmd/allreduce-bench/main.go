@@ -43,11 +43,11 @@
 // so CI logs get plain line-buffered output.
 //
 // Planning large fabrics: -plan-workers N lowers MultiTree's trees and
-// decodes cached plans on N goroutines, -plan-shards N partitions tree
-// growth across fabric shards (the schedule is byte-identical for every
-// count of either), and -plan-cache DIR keeps built schedules in a
-// content-addressed on-disk cache, so repeat runs load a validated plan
-// in milliseconds instead of re-planning for minutes:
+// decodes cached plans on N goroutines (tree growth stays sequential and
+// the schedule is byte-identical for every count), and -plan-cache DIR
+// keeps built schedules in a content-addressed on-disk cache, so repeat
+// runs load a validated plan in milliseconds instead of re-planning for
+// minutes:
 //
 //	allreduce-bench -algo multitree -topo mesh-32x32 -engine fluid \
 //	    -plan-cache ~/.cache/multitree-plans -plan-workers 4

@@ -33,14 +33,14 @@
 // -report writes the versioned run report, -planprofile the planner
 // phase CSV, -progress live planner progress on stderr, and
 // -cpuprofile/-memprofile the pprof profiles. So do the planner-scaling
-// flags: -plan-workers N lowers trees in parallel and -plan-shards N
-// grows them in fabric shards (the schedule is byte-identical for every
-// count of either), and -plan-cache DIR makes -export load a
-// previously built schedule from the content-addressed cache instead of
-// re-planning it. Warm loads scale too: -plan-workers also fans the
-// binary-IR section decode across cores, -plan-mem-cache-mb N keeps
-// decoded plans in process so repeats skip disk entirely, and
-// -warm-loads N replays the load through the cache tiers to measure it.
+// flags: -plan-workers N lowers trees in parallel (tree growth stays
+// sequential and the schedule is byte-identical for every count), and
+// -plan-cache DIR makes -export load a previously built schedule from
+// the content-addressed cache instead of re-planning it. Warm loads
+// scale too: -plan-workers also fans the binary-IR section decode
+// across cores, -plan-mem-cache-mb N keeps decoded plans in process so
+// repeats skip disk entirely, and -warm-loads N replays the load
+// through the cache tiers to measure it.
 //
 //	schedule-dump -topo mesh-32x32 -algo multitree -plan-cache /tmp/plans -export mt.json
 //	schedule-dump -topo mesh-64x64 -algo multitree -plan-cache /tmp/plans \

@@ -21,8 +21,8 @@
 // -report writes the versioned run report, -progress live planner
 // progress on stderr, and -cpuprofile/-memprofile the pprof profiles —
 // as do the planner-scaling flags -plan-workers (parallel lowering and
-// plan-load decode), -plan-shards (sharded tree growth) and -plan-cache
-// (content-addressed on-disk schedule cache).
+// plan-load decode) and -plan-cache (content-addressed on-disk schedule
+// cache).
 package main
 
 import (
@@ -206,7 +206,6 @@ func printLayerProfile(topo *topology.Topology, name string, run *cliutil.Run) {
 	opts := core.DefaultOptions(topo)
 	opts.Observer = run.PlanObserver()
 	opts.Workers = run.BuildOptions().Workers
-	opts.Shards = run.BuildOptions().Shards
 	trees, err := core.BuildTrees(topo, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -43,16 +43,9 @@ type Options struct {
 
 	// Workers bounds planner parallelism: multitree's tree lowering and
 	// eccentricity pass, and the section decode of plan-cache loads
-	// (tree growth itself parallelizes only with Shards); <= 1 means
-	// sequential. The schedule built is identical for every value.
+	// (tree growth itself is sequential); <= 1 means sequential. The
+	// schedule built is identical for every value.
 	Workers int
-
-	// Shards partitions multitree's root set geometrically and grows
-	// each shard's trees on its own goroutine against a private link
-	// pool, merged deterministically; <= 1 means unsharded. Like
-	// Workers, the schedule built is identical for every value, so
-	// Shards is not part of the cache key.
-	Shards int
 
 	// Cache, when non-nil, is probed before construction and updated
 	// after it (see Build). Only schedule-shaping inputs enter the cache

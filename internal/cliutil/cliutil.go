@@ -153,7 +153,6 @@ type Config struct {
 	PlanCacheMaxBytes int64  // -plan-cache-max-bytes: LRU size cap, <= 0 uncapped
 	PlanMemCacheMB    int64  // -plan-mem-cache-mb: in-process decoded-plan LRU cap, <= 0 off
 	PlanWorkers       int    // -plan-workers: parallel lowering, eccentricities and IR decode, <= 1 sequential
-	PlanShards        int    // -plan-shards: sharded tree growth (geometric root partition), <= 1 off
 	VerifyPlan        bool   // -verify-plan: full re-validation of cache hits
 }
 
@@ -168,8 +167,7 @@ func RegisterFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write an allocation profile taken at exit to this file")
 	fs.StringVar(&cfg.PlanCacheDir, "plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
 	fs.Int64Var(&cfg.PlanMemCacheMB, "plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds of one plan skip disk and decode; <= 0 off")
-	fs.IntVar(&cfg.PlanWorkers, "plan-workers", 1, "goroutines for MultiTree tree lowering, eccentricities and binary-IR plan-load decode; tree growth runs in parallel only together with -plan-shards. The schedule built is identical for every value")
-	fs.IntVar(&cfg.PlanShards, "plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition, one goroutine per shard); the schedule built is byte-identical for every value")
+	fs.IntVar(&cfg.PlanWorkers, "plan-workers", 1, "goroutines for MultiTree tree lowering, eccentricities and binary-IR plan-load decode (tree growth is sequential). The schedule built is identical for every value")
 	fs.BoolVar(&cfg.VerifyPlan, "verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 }
 
@@ -230,9 +228,6 @@ func StartRun(cfg Config) (*Run, error) {
 	if cfg.PlanWorkers > 1 {
 		r.Option("plan_workers", fmt.Sprintf("%d", cfg.PlanWorkers))
 	}
-	if cfg.PlanShards > 1 {
-		r.Option("plan_shards", fmt.Sprintf("%d", cfg.PlanShards))
-	}
 	if cfg.MetricsAddr != "" {
 		r.Prom = obs.NewPromHandler()
 		r.Prom.SetPlanProfile(r.Profile)
@@ -267,12 +262,10 @@ func (r *Run) PlanObserver() obs.PlanObserver {
 
 // BuildOptions returns the planner options to thread into schedule
 // builds: the run's observer fan-out, the plan cache, and the worker
-// and shard counts. Callers set per-build knobs (Chunks) on the
-// returned value.
+// count. Callers set per-build knobs (Chunks) on the returned value.
 func (r *Run) BuildOptions() algorithms.Options {
 	return algorithms.Options{
 		Workers:  r.cfg.PlanWorkers,
-		Shards:   r.cfg.PlanShards,
 		Cache:    r.Cache,
 		MemCache: r.MemCache,
 		Observer: r.PlanObserver(),

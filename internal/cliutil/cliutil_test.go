@@ -169,7 +169,7 @@ func TestRegisterFlags(t *testing.T) {
 	defaults := map[string]string{
 		"report": "", "progress": "auto", "cpuprofile": "", "memprofile": "",
 		"plan-cache": "", "plan-mem-cache-mb": "0", "plan-workers": "1",
-		"plan-shards": "1", "verify-plan": "false",
+		"verify-plan": "false",
 	}
 	n := 0
 	fs.VisitAll(func(f *flag.Flag) {
@@ -184,18 +184,18 @@ func TestRegisterFlags(t *testing.T) {
 	if n != len(defaults) {
 		t.Errorf("%d flags registered, want %d", n, len(defaults))
 	}
-	if cfg.ProgressMode != "auto" || cfg.PlanWorkers != 1 || cfg.PlanShards != 1 {
+	if cfg.ProgressMode != "auto" || cfg.PlanWorkers != 1 {
 		t.Errorf("defaults not applied to config: %+v", cfg)
 	}
 	err := fs.Parse([]string{"-report", "r.json", "-progress", "off", "-cpuprofile", "c.out",
 		"-memprofile", "m.out", "-plan-cache", "dir", "-plan-mem-cache-mb", "64",
-		"-plan-workers", "4", "-plan-shards", "2", "-verify-plan"})
+		"-plan-workers", "4", "-verify-plan"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Config{
 		ReportPath: "r.json", ProgressMode: "off", CPUProfile: "c.out", MemProfile: "m.out",
-		PlanCacheDir: "dir", PlanMemCacheMB: 64, PlanWorkers: 4, PlanShards: 2, VerifyPlan: true,
+		PlanCacheDir: "dir", PlanMemCacheMB: 64, PlanWorkers: 4, VerifyPlan: true,
 	}
 	if cfg != want {
 		t.Errorf("parsed config = %+v, want %+v", cfg, want)

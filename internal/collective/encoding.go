@@ -195,8 +195,12 @@ func decodeIR(r io.Reader) (*scheduleJSON, error) {
 // custom topology with identical link IDs and parameters, verifying the
 // fingerprint the exporter recorded.
 func rebuildTopology(tj *topoJSON) (*topology.Topology, error) {
-	if tj.Nodes < 1 || tj.Switches < 0 {
-		return nil, fmt.Errorf("collective: schedule topology has %d nodes, %d switches", tj.Nodes, tj.Switches)
+	// A connected fabric gives every node an in-link, and every switch
+	// forwards over links of its own, so vertex counts beyond the link
+	// list cannot build; rejecting them first keeps the vertex tables
+	// sized by the file instead of by a number in it.
+	if tj.Nodes < 1 || tj.Switches < 0 || tj.Nodes > len(tj.Links)+1 || tj.Switches > len(tj.Links) {
+		return nil, fmt.Errorf("collective: schedule topology has %d nodes, %d switches for %d links", tj.Nodes, tj.Switches, len(tj.Links))
 	}
 	vertices := tj.Nodes + tj.Switches
 	cb := topology.NewCustom(tj.Name, tj.Nodes, tj.Switches)

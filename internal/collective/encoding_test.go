@@ -117,7 +117,9 @@ func mutateIR(t *testing.T, file []byte, fn func(m map[string]any)) []byte {
 
 // TestImportRejectsMalformed covers the strict-validation matrix: version
 // gate, dependency cycles, out-of-range flow indices, links that do not
-// exist in the topology, fingerprint drift, and flow-coverage holes.
+// exist in the topology, fingerprint drift, flow-coverage holes, and a
+// vertex count the link list cannot connect (which used to size a
+// multi-gigabyte vertex table before any check ran).
 func TestImportRejectsMalformed(t *testing.T) {
 	topo := topology.Torus(2, 2, topology.DefaultLinkConfig())
 	var buf bytes.Buffer
@@ -181,6 +183,13 @@ func TestImportRejectsMalformed(t *testing.T) {
 				last["len"] = last["len"].(float64) - 1
 			},
 			wantErr: "uncovered",
+		},
+		{
+			name: "vertex count beyond the link list",
+			mutate: func(m map[string]any) {
+				m["topology"].(map[string]any)["nodes"] = 200000000
+			},
+			wantErr: "200000000 nodes",
 		},
 		{
 			name: "self transfer",

@@ -11,10 +11,12 @@
 package collective
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"multitree/internal/topology"
@@ -116,11 +118,6 @@ type Schedule struct {
 
 	// Steps is the total number of algorithmic time steps.
 	Steps int
-
-	// covScratch is reused by flowCoverageHole across strict validations
-	// (schedules with out-of-order flow segments only). Like the exported
-	// fields, it is not safe for concurrent mutation.
-	covScratch []Range
 }
 
 // NewSchedule allocates an empty schedule for the given topology and data
@@ -353,24 +350,28 @@ func (s *Schedule) ValidateStrict() error {
 // flowCoverageHole returns the first element of [0, Elems) not covered by
 // any flow range, if one exists. Partition emits segments in ascending
 // offset order, so the common case is a zero-allocation in-place scan;
-// out-of-order flow tables fall back to sorting a scratch copy that is
-// reused across validations of the same schedule.
+// out-of-order flow tables fall back to sorting a scratch copy taken from
+// covScratch. The scratch lives outside the Schedule, so validating a
+// shared, published plan from many goroutines writes nothing to it.
 func (s *Schedule) flowCoverageHole() (int, bool) {
 	ranges := s.Flows
-	for i := 1; i < len(ranges); i++ {
-		if ranges[i].Off < ranges[i-1].Off {
-			s.covScratch = s.covScratch[:0]
-			for _, r := range s.Flows {
-				if r.Len > 0 {
-					s.covScratch = append(s.covScratch, r)
-				}
-			}
-			// slices.SortFunc, unlike sort.Slice, does not allocate — the
-			// scratch makes repeat validations allocation-free.
-			slices.SortFunc(s.covScratch, func(a, b Range) int { return a.Off - b.Off })
-			ranges = s.covScratch
-			break
+	if !slices.IsSortedFunc(ranges, rangeByOff) {
+		buf := covScratch.Get().(*[]Range)
+		defer covScratch.Put(buf)
+		sorted := (*buf)[:0]
+		if cap(sorted) < len(s.Flows) {
+			sorted = make([]Range, 0, len(s.Flows))
 		}
+		for _, r := range s.Flows {
+			if r.Len > 0 {
+				sorted = append(sorted, r)
+			}
+		}
+		// slices.SortFunc, unlike sort.Slice, does not allocate — the
+		// pooled scratch makes repeat validations allocation-free.
+		slices.SortFunc(sorted, rangeByOff)
+		*buf = sorted
+		ranges = sorted
 	}
 	covered := 0
 	for _, r := range ranges {
@@ -389,6 +390,11 @@ func (s *Schedule) flowCoverageHole() (int, bool) {
 	}
 	return 0, false
 }
+
+// covScratch holds the sort buffers of flowCoverageHole's fallback.
+var covScratch = sync.Pool{New: func() any { return new([]Range) }}
+
+func rangeByOff(a, b Range) int { return cmp.Compare(a.Off, b.Off) }
 
 // TopoOrder returns a deterministic topological order of the transfers
 // (Kahn's algorithm, ready set drained in id order), or an error if the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +12,9 @@ import (
 
 // This file is the tree-growth engine behind BuildTrees: Algorithm 1's
 // main loop over a word-packed per-step link pool, with memoized search
-// failures and optional sharded speculative turns. Whatever the shard
-// count, the trees produced are byte-identical to a sequential run —
-// sharding and memoization only skip work whose outcome is already
-// proven.
+// failures. Growth is sequential; the memoization only skips work whose
+// outcome is already proven, so the trees produced are exactly the
+// literal algorithm's.
 //
 // Three facts carry all of the pruning, each a consequence of the same
 // step invariant (within a time step the link pool only shrinks, a tree
@@ -29,13 +27,6 @@ import (
 //   - A parent whose search failed without meeting one occupied link has
 //     seen its entire reachable neighborhood already in the tree; it is
 //     dead for every future step too (treeMemo.dead).
-//
-// Sharded rounds run speculatively: each shard's trees search a private
-// copy of the step's pool concurrently while recording the links they
-// read. Commits then replay the sequential turn order; a speculative
-// result whose read set saw exactly the pool the sequential search
-// would have seen is provably the sequential result, and only the
-// others re-run against the live pool (roundSharded).
 
 // growth is the scratch state of one Algorithm 1 run.
 type growth struct {
@@ -57,51 +48,15 @@ type growth struct {
 
 	ecc []int
 
-	avail bitset      // the step's link pool: set = free
-	seq   *pathFinder // the sequential / replay finder
+	avail  bitset // the step's link pool: set = free
+	finder *pathFinder
 
 	c obs.PlanCounters
 
 	// treeOrder scratch, reused every round.
 	orderIdx []int
 	orderRem []int
-
-	// Sharded-round state, allocated only for Shards > 1. Each shard
-	// owns a geometric slice of the roots, a private copy of the step's
-	// pool, and its own provisional-mode finder; shardSpec tracks the
-	// links each shard's speculation claimed, rebuilt turn by turn
-	// during the merge.
-	shards        int
-	claimed       bitset // links committed by earlier turns this round
-	active        []int  // trees taking a turn this round, in turn order
-	specChild     []topology.NodeID
-	specParent    []topology.NodeID
-	specPath      [][]topology.LinkID
-	specTouched   []bitset
-	shardOf       []int // shard index per tree
-	shardAvail    []bitset
-	shardSpec     []bitset
-	shardTrees    [][]int
-	shardFinders  []*pathFinder
-	specFail      [][2]int // per tree: [lo,hi) of the turn's provisional failure stamps in its shard finder's failBuf
-	shardTurns    int64
-	shardReplays  int64
-	shardPause    int // rounds left to take directly on the live pool after a conflict-heavy merge
-	shardPauseLen int // current backoff length; doubles on consecutive conflict-heavy probes
 }
-
-// shardProbeInterval is how many rounds a conflict-heavy merge pauses
-// speculation for before probing a sharded round again; consecutive
-// failed probes double the pause up to shardPauseMax. Conflict
-// structure shifts as trees fill in (early rounds contend fabric-wide,
-// endgame rounds barely overlap), so the pause is a backoff, not a
-// permanent downgrade — but on hosts or fabrics where speculation
-// never pays (one core, dense contention) the probe tax decays to
-// nothing instead of recurring every few rounds.
-const (
-	shardProbeInterval = 8
-	shardPauseMax      = 1 << 10
-)
 
 // growTrees is the tree-growth phase body: Algorithm 1's main loop with
 // the per-step link allocation. It always maintains the PlanCounters —
@@ -147,37 +102,10 @@ func newGrowth(topo *topology.Topology, opts Options) (*growth, error) {
 		}
 	}
 	g.avail = newBitset(len(topo.Links()))
-	g.seq = newPathFinder(topo, opts.ReverseNeighborOrder)
-	g.seq.shortestFirst = opts.ShortestPathFirst
+	g.finder = newPathFinder(topo, opts.ReverseNeighborOrder)
+	g.finder.shortestFirst = opts.ShortestPathFirst
 	g.orderIdx = make([]int, k)
 	g.orderRem = make([]int, k)
-	if opts.Shards > 1 {
-		g.shards = min(opts.Shards, k)
-	}
-	if g.shards > 1 {
-		g.claimed = newBitset(len(topo.Links()))
-		g.active = make([]int, 0, k)
-		g.specChild = make([]topology.NodeID, k)
-		g.specParent = make([]topology.NodeID, k)
-		g.specPath = make([][]topology.LinkID, k)
-		g.specTouched = make([]bitset, k)
-		for i := range g.specTouched {
-			g.specTouched[i] = newBitset(len(topo.Links()))
-		}
-		g.shardOf = shardAssign(topo, k, g.shards)
-		g.shardAvail = make([]bitset, g.shards)
-		g.shardSpec = make([]bitset, g.shards)
-		g.shardTrees = make([][]int, g.shards)
-		g.shardFinders = make([]*pathFinder, g.shards)
-		for s := 0; s < g.shards; s++ {
-			g.shardAvail[s] = newBitset(len(topo.Links()))
-			g.shardSpec[s] = newBitset(len(topo.Links()))
-			g.shardFinders[s] = newPathFinder(topo, opts.ReverseNeighborOrder)
-			g.shardFinders[s].shortestFirst = opts.ShortestPathFirst
-			g.shardFinders[s].provisional = true
-		}
-		g.specFail = make([][2]int, k)
-	}
 	return g, nil
 }
 
@@ -187,33 +115,25 @@ func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 	totalAttach := int64(g.k) * int64(g.n-1)
 	for t := int32(1); ; t++ {
 		if complete(g.members, g.n) {
-			g.fold()
+			g.finder.fold(&g.c)
 			return g.trees, g.c, nil
 		}
 		if int(t) > 2*len(g.topo.Links())+2 {
-			g.fold()
+			g.finder.fold(&g.c)
 			return nil, g.c, fmt.Errorf("multitree: construction did not converge on %s", g.topo.Name())
 		}
 		// Start a new time step with a fresh topology graph (line 6).
 		g.avail.fill()
 		addedThisStep := 0
 		for {
-			var added int
-			if g.shards > 1 && g.shardPause == 0 {
-				added = g.roundSharded(t)
-			} else {
-				if g.shardPause > 0 {
-					g.shardPause--
-				}
-				added = g.roundSequential(t)
-			}
+			added := g.roundSequential(t)
 			if added == 0 {
 				break
 			}
 			addedThisStep += added
 		}
 		if addedThisStep == 0 {
-			g.fold()
+			g.finder.fold(&g.c)
 			return nil, g.c, g.stallError(t)
 		}
 		g.c.Steps++
@@ -269,7 +189,7 @@ func (g *growth) roundSequential(t int32) int {
 		if g.members[ti] == g.n || g.stalledAt[ti] == t {
 			continue
 		}
-		child, parent, path := g.seq.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
+		child, parent, path := g.finder.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
 		if child < 0 {
 			g.stalledAt[ti] = t
 			continue
@@ -278,206 +198,6 @@ func (g *growth) roundSequential(t int32) int {
 		added++
 	}
 	return added
-}
-
-// roundSharded runs one round sharded: the active trees partition by
-// root shard, each shard's trees take their turns in order against a
-// private copy of the live pool on the shard's own goroutine, and the
-// speculative results merge in the global sequential turn order. A
-// turn's shard pool differs from the live pool at its merge point by
-// exactly (links committed by earlier turns) XOR (links the shard's own
-// earlier turns claimed speculatively); a search that read no link in
-// that difference saw bit-for-bit the pool the sequential search would
-// have seen and commits as-is — failure stamps included. The rest
-// replay against the live pool, so the committed trees are exactly the
-// sequential round's at any shard count.
-func (g *growth) roundSharded(t int32) int {
-	g.active = g.active[:0]
-	for _, ti := range g.order() {
-		if g.members[ti] == g.n || g.stalledAt[ti] == t {
-			continue
-		}
-		g.active = append(g.active, ti)
-	}
-	if len(g.active) == 0 {
-		return 0
-	}
-	for s := 0; s < g.shards; s++ {
-		g.shardTrees[s] = g.shardTrees[s][:0]
-	}
-	busy := 0
-	for _, ti := range g.active {
-		s := g.shardOf[ti]
-		if len(g.shardTrees[s]) == 0 {
-			busy++
-		}
-		g.shardTrees[s] = append(g.shardTrees[s], ti)
-	}
-	if busy == 1 || len(g.active) == 1 {
-		// Everything left lives in one shard (the endgame rounds):
-		// speculation against a pool copy buys nothing over taking the
-		// turns directly on the live pool.
-		added := 0
-		for _, ti := range g.active {
-			child, parent, path := g.seq.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
-			if child < 0 {
-				g.stalledAt[ti] = t
-				continue
-			}
-			g.commit(ti, child, parent, path, t)
-			added++
-		}
-		return added
-	}
-
-	var wg sync.WaitGroup
-	first := -1
-	for s := 0; s < g.shards; s++ {
-		if len(g.shardTrees[s]) == 0 {
-			continue
-		}
-		if first < 0 {
-			first = s
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			g.speculateShard(s, t)
-		}(s)
-	}
-	g.speculateShard(first, t)
-	wg.Wait()
-
-	o := g.opts.Observer
-	if o != nil {
-		o.PhaseStart(obs.PhaseShardMerge)
-	}
-	g.claimed.zero()
-	for s := 0; s < g.shards; s++ {
-		g.shardSpec[s].zero()
-	}
-	added, replays := 0, 0
-	for _, ti := range g.active {
-		s := g.shardOf[ti]
-		child, parent, path := g.specChild[ti], g.specParent[ti], g.specPath[ti]
-		if !g.specTouched[ti].intersectsDiff(g.claimed, g.shardSpec[s]) {
-			// Proven equal to the sequential search: its provisional
-			// failure stamps are the ones the sequential run would have
-			// recorded, so flush them.
-			f := g.shardFinders[s]
-			for _, p := range f.failBuf[g.specFail[ti][0]:g.specFail[ti][1]] {
-				g.memo[ti].failedAt[p] = t
-			}
-		} else {
-			replays++
-			child, parent, path = g.seq.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
-		}
-		// The speculated claims shaped the shard pool for the shard's
-		// later turns whether or not this turn replayed.
-		for _, l := range g.specPath[ti] {
-			g.shardSpec[s].set(int(l))
-		}
-		if child < 0 {
-			g.stalledAt[ti] = t
-			continue
-		}
-		for _, l := range path {
-			g.claimed.set(int(l))
-		}
-		g.commit(ti, child, parent, path, t)
-		added++
-	}
-	g.shardTurns += int64(len(g.active))
-	g.shardReplays += int64(replays)
-	// Adaptive backoff: speculation pays only while the merge commits
-	// most turns clean. Replays re-search the live pool one by one, so
-	// with p shards truly running in parallel a sharded round costs
-	// roughly turns/p + replays search-times against the sequential
-	// round's turns — worth it only while the replay share stays under
-	// 1 - 1/p (taken with a 3/4 margin here, in integers:
-	// replays/turns > 3(p-1)/4p pauses). Which rounds run
-	// speculatively is pure scheduling; the trees built are
-	// byte-identical either way, since the merge replays exactly the
-	// turns whose speculation diverged from sequential state.
-	if p := min(busy, g.shards, runtime.GOMAXPROCS(0)); replays*4*p > len(g.active)*3*(p-1) {
-		if g.shardPauseLen == 0 {
-			g.shardPauseLen = shardProbeInterval
-		} else if g.shardPauseLen < shardPauseMax {
-			g.shardPauseLen *= 2
-		}
-		g.shardPause = g.shardPauseLen
-	} else {
-		g.shardPauseLen = 0
-	}
-	if o != nil {
-		o.PhaseEnd(obs.PhaseShardMerge, obs.PlanCounters{
-			ShardTurns:   int64(len(g.active)),
-			ShardReplays: int64(replays),
-		})
-	}
-	return added
-}
-
-// speculateShard gives each of shard s's active trees its turn in order
-// against the shard's private pool copy: successful searches claim their
-// paths from the shard pool only, so the shard's later turns see them
-// exactly as the sequential round would. This-step failure stamps
-// derived from the shard pool are buffered per turn (the finder runs in
-// provisional mode) until the merge proves the turn clean or replays it;
-// permanent dead marks write through.
-func (g *growth) speculateShard(s int, t int32) {
-	f := g.shardFinders[s]
-	pool := g.shardAvail[s]
-	copy(pool, g.avail)
-	f.failBuf = f.failBuf[:0]
-	for _, ti := range g.shardTrees[s] {
-		tb := g.specTouched[ti]
-		tb.zero()
-		f.touched = tb
-		lo := len(f.failBuf)
-		c, p, path := f.find(g.parents[ti], g.inTree[ti], pool, g.memo[ti], t)
-		f.touched = nil
-		g.specFail[ti] = [2]int{lo, len(f.failBuf)}
-		g.specChild[ti], g.specParent[ti], g.specPath[ti] = c, p, path
-		for _, l := range path {
-			pool.clear(int(l))
-		}
-	}
-}
-
-// shardAssign partitions the k tree roots into shards. On grids the
-// shards are near-square tiles of the node grid — quadrants at four
-// shards — so each shard's trees grow outward from a distinct region of
-// the fabric and their early link claims rarely collide. Elsewhere the
-// roots split into contiguous id bands, preserving whatever locality
-// the builder's node numbering has.
-func shardAssign(topo *topology.Topology, k, shards int) []int {
-	of := make([]int, k)
-	nx, ny := topo.GridDims()
-	if nx > 0 && ny > 0 {
-		// Factor shards = sx*sy with the tile grid as square as possible.
-		sx := 1
-		for d := 1; d*d <= shards; d++ {
-			if shards%d == 0 {
-				sx = d
-			}
-		}
-		sy := shards / sx
-		for i := 0; i < k; i++ {
-			c, ok := topo.NodeCoord(topology.NodeID(i))
-			if !ok {
-				of[i] = i * shards / k
-				continue
-			}
-			of[i] = (c.Y*sy/ny)*sx + c.X*sx/nx
-		}
-		return of
-	}
-	for i := 0; i < k; i++ {
-		of[i] = i * shards / k
-	}
-	return of
 }
 
 // commit claims the path from the step's pool and attaches child to tree
@@ -496,14 +216,6 @@ func (g *growth) commit(ti int, child, parent topology.NodeID, path []topology.L
 		g.c.TreesGrown++
 	}
 	g.pending[ti] = append(g.pending[ti], child)
-}
-
-// fold accumulates every finder's search counters into the run's.
-func (g *growth) fold() {
-	g.seq.fold(&g.c)
-	for _, f := range g.shardFinders {
-		f.fold(&g.c)
-	}
 }
 
 // order returns the indices of the trees in the order they take turns

@@ -92,23 +92,9 @@ type Options struct {
 	// Workers bounds the goroutines Build lowers trees to a schedule on,
 	// and the ones the ByRemainingHeight eccentricity pass fans out
 	// across on fabrics that need per-source searches (<= 1 means
-	// sequential). It does not parallelize tree growth on its own; that
-	// takes Shards. The schedule built is byte-identical for every
-	// worker count.
+	// sequential). Tree growth itself is always sequential. The schedule
+	// built is byte-identical for every worker count.
 	Workers int
-
-	// Shards partitions the root set geometrically (grid quadrants when
-	// the topology exposes grid dimensions, contiguous root bands
-	// otherwise) and grows each shard's trees against a private copy of
-	// the step's link pool on its own goroutine. The per-shard results
-	// merge through a deterministic commit replay in the sequential turn
-	// order, so the trees built are byte-identical for every shard count
-	// — sharding only changes how much search work runs concurrently and
-	// how much the merge replays. <= 1 means unsharded, sequential
-	// growth. The search counters are deterministic too, though sharded
-	// rounds skip different redundant work than sequential ones, so
-	// counter totals may differ between Shards <= 1 and Shards > 1.
-	Shards int
 }
 
 // DefaultOptions returns the recommended construction options for a

@@ -80,22 +80,6 @@ type pathFinder struct {
 	linksScanned  int64
 	linkConflicts int64
 
-	// touched, when non-nil, records every link whose pool bit a search
-	// read — the read set that decides whether a sharded speculative
-	// search may be committed without a replay.
-	touched bitset
-
-	// provisional defers this-step failure marks: sharded speculation
-	// searches a per-shard pool that is neither a superset nor a subset
-	// of the live pool, so a failedAt stamp derived from it is only
-	// valid if the turn later commits with a clean read-set diff. In
-	// provisional mode fresh failedAt marks land in failBuf for the
-	// merge to flush or discard; dead marks are pool-independent (zero
-	// conflicts seen means the full static neighborhood was explored)
-	// and are always written through.
-	provisional bool
-	failBuf     []topology.NodeID
-
 	// BFS scratch, reused across calls. A vertex counts as visited when
 	// its stamp equals the current epoch, so each search starts without
 	// clearing the arrays — the clear was the dominant cost of planning
@@ -126,17 +110,11 @@ func (f *pathFinder) fold(c *obs.PlanCounters) {
 }
 
 // markFailure records a failed search rooted at parent p. Zero fresh
-// conflicts means the search saw the parent's full static neighborhood —
-// the failure is permanent and pool-independent, so it is recorded even
-// in provisional mode. Otherwise the failure only holds for this step on
-// this pool; provisional searches buffer it for the merge to decide.
+// conflicts means the search saw the parent's full static neighborhood,
+// so the failure is permanent. Otherwise it only holds for this step.
 func (f *pathFinder) markFailure(m *treeMemo, p topology.NodeID, step int32, before int64) {
 	if f.linkConflicts == before {
 		m.markDead(p)
-		return
-	}
-	if f.provisional {
-		f.failBuf = append(f.failBuf, p)
 		return
 	}
 	m.failedAt[p] = step
@@ -232,9 +210,6 @@ func (f *pathFinder) bfs(start int, inTree []bool, avail bitset) (topology.NodeI
 				id = links[len(links)-1-li]
 			}
 			f.linksScanned++
-			if f.touched != nil {
-				f.touched.set(int(id))
-			}
 			if !avail.test(int(id)) {
 				f.linkConflicts++
 				continue
@@ -265,9 +240,6 @@ func (f *pathFinder) bfs(start int, inTree []bool, avail bitset) (topology.NodeI
 				id = links[len(links)-1-li]
 			}
 			f.linksScanned++
-			if f.touched != nil {
-				f.touched.set(int(id))
-			}
 			if !avail.test(int(id)) {
 				f.linkConflicts++
 				continue

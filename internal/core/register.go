@@ -18,7 +18,6 @@ func init() {
 			opts := DefaultOptions(topo)
 			opts.Observer = aopts.Observer
 			opts.Workers = aopts.Workers
-			opts.Shards = aopts.Shards
 			return Build(topo, elems, opts)
 		},
 		Supports: func(topo *topology.Topology) bool { return topo.Nodes() >= 2 },

@@ -53,11 +53,10 @@ const (
 	// load cost into decode vs validate.
 	PhaseValidate
 
-	// PhaseShardMerge is the commit-replay merge of sharded tree growth:
-	// replaying the per-shard speculative turns against the live link pool
-	// in global turn order. It nests inside tree-growth, one run per
-	// round, so its share of the growth wall measures how much of the
-	// sharded build is serial merge work vs parallel search.
+	// PhaseShardMerge was the commit-replay merge of sharded speculative
+	// tree growth, nested inside tree-growth. Growth is sequential now
+	// and the planner no longer emits it; the phase stays so that
+	// profiles and reports recorded with it keep their name and decode.
 	PhaseShardMerge
 
 	// PhaseDecode is binary-IR materialization at load time: reading the
@@ -156,10 +155,10 @@ type PlanCounters struct {
 	SummaryValidations int64
 	FullValidations    int64
 
-	// ShardTurns/ShardReplays count sharded-growth merge turns and the
-	// subset whose speculative search read a link that earlier turns had
-	// claimed differently, forcing a replay against the live pool
-	// (shard-merge). The replay ratio is the sharding overhead.
+	// ShardTurns/ShardReplays counted the merge turns of sharded
+	// speculative growth and the subset replayed against the live link
+	// pool (shard-merge). The planner no longer grows in shards and
+	// leaves them zero; they stay so older reports still decode.
 	ShardTurns   int64
 	ShardReplays int64
 

@@ -143,8 +143,9 @@ type PhaseReport struct {
 
 	// ShardCleanCommits is ShardTurns - ShardReplays — merge turns whose
 	// speculative result committed without a replay — and
-	// ShardReplayShare the replayed fraction, the contention signal the
-	// ROADMAP's turn-order work tunes against.
+	// ShardReplayShare the replayed fraction. Like the shard counters
+	// they are zero for current builds, which no longer grow in shards,
+	// and stay so that reports recorded before still decode.
 	ShardCleanCommits int64   `json:"shard_clean_commits,omitempty"`
 	ShardReplayShare  float64 `json:"shard_replay_share,omitempty"`
 

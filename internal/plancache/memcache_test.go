@@ -1,10 +1,13 @@
 package plancache_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"multitree/internal/collective"
+	"multitree/internal/network"
+	"multitree/internal/ni"
 	"multitree/internal/plancache"
 	"multitree/internal/topology"
 )
@@ -158,4 +161,67 @@ func TestMemCacheConcurrent(t *testing.T) {
 	if st.Hits+st.Misses == 0 {
 		t.Fatalf("stats = %+v, want traffic", st)
 	}
+}
+
+// TestMemCacheSharedPlanConcurrentUse hammers the one plan a memory-tier
+// hit hands every caller with what callers do to it — strict validation,
+// binary export, fluid simulation and NI compilation — from concurrent
+// goroutines. The flow table is reversed so strict validation takes its
+// sort fallback; a published plan must hold no scratch that fallback
+// writes, which -race checks.
+func TestMemCacheSharedPlanConcurrentUse(t *testing.T) {
+	topo := topology.Torus(4, 4, cfg())
+	s := build(t, topo, 1024)
+	flows := s.Flows
+	for i, j := 0, len(flows)-1; i < j; i, j = i+1, j-1 {
+		flows[i], flows[j] = flows[j], flows[i]
+	}
+	key := plancache.Key(topo, "multitree", 1024, 0)
+	m := plancache.NewMemCache(s.MemBytes() * 4)
+	m.Put(key, s)
+	var want bytes.Buffer
+	if err := collective.ExportBinary(&want, s); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := []func(*collective.Schedule) error{
+		func(p *collective.Schedule) error { return p.ValidateStrict() },
+		func(p *collective.Schedule) error {
+			var buf bytes.Buffer
+			if err := collective.ExportBinary(&buf, p); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+				t.Error("concurrent export differs from the export taken before sharing")
+			}
+			return nil
+		},
+		func(p *collective.Schedule) error {
+			_, err := network.SimulateFluid(p, network.DefaultConfig())
+			return err
+		},
+		func(p *collective.Schedule) error {
+			_, err := ni.CompileSchedule(p)
+			return err
+		},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2*len(ops); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				p, ok := m.Get(key)
+				if !ok {
+					t.Error("shared plan evicted")
+					return
+				}
+				if err := ops[(g+i)%len(ops)](p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

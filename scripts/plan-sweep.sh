@@ -18,17 +18,16 @@
 # PROFILE_DIR=dir additionally writes the cold build's planner phase
 # profile to dir/plan-profile-<topo>.csv.
 #
-# Workers default to 4 (override with PLAN_WORKERS); the cold build
-# also shards tree growth, 4 shards by default (override with
-# PLAN_SHARDS). The schedule is byte-identical at any worker or shard
-# count, so the sweep is reproducible modulo wall time.
+# Workers default to 4 (override with PLAN_WORKERS); they parallelize
+# lowering and the warm load's decode, while tree growth is sequential.
+# The schedule is byte-identical at any worker count, so the sweep is
+# reproducible modulo wall time.
 set -eu
 
 out=${1:-results/plan-scale-sweep.csv}
 [ $# -gt 0 ] && shift
 topos=${*:-"mesh-16x16 mesh-32x32 mesh-48x48 mesh-64x64"}
 workers=${PLAN_WORKERS:-4}
-shards=${PLAN_SHARDS:-4}
 
 bin=$(mktemp -t schedule-dump.XXXXXX)
 go build -o "$bin" ./cmd/schedule-dump
@@ -52,7 +51,7 @@ for topo in $topos; do
     t0=$(now)
     # shellcheck disable=SC2086
     "$bin" -topo "$topo" -algo multitree -size 1MiB -plan-workers "$workers" \
-        -plan-shards "$shards" -plan-cache "$cache" -progress off $profile \
+        -plan-cache "$cache" -progress off $profile \
         -export "$cold" > "$cache/cold.out"
     t1=$(now)
     "$bin" -topo "$topo" -algo multitree -size 1MiB \
