@@ -53,7 +53,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	"multitree/internal/algorithms"
@@ -155,32 +154,31 @@ func main() {
 		printPhase(ds, collective.Gather)
 	}
 
-	if *util {
-		fmt.Println()
-		for _, alg := range []string{"ring", "multitree"} {
-			var us *collective.Schedule
-			if alg == "ring" {
-				us = ring.Build(topo, topo.Nodes()*64)
-			} else {
-				us, err = collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
-				if err != nil {
-					log.Fatal(err)
-				}
-			}
-			fmt.Println(collective.UtilizationChart(us, 50))
-		}
-	}
-
-	if *traceOut != "" || *linkstats != "" {
-		traceSchedule(topo, trees, *traceOut, *linkstats, *bin)
-	}
-
-	if *tables {
-		nt, err := ni.CompileObserved(trees, topo.Nodes(), run.PlanObserver())
+	// -util, -trace and -tables run the schedule lowered at 64 elements
+	// per node.
+	var wide *collective.Schedule
+	if *util || *traceOut != "" || *linkstats != "" || *tables {
+		wide, err = collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
 		if err != nil {
 			log.Fatal(err)
 		}
-		nt.Bind(topo.Nodes()*64, topo.Nodes())
+	}
+
+	if *util {
+		fmt.Println()
+		fmt.Println(collective.UtilizationChart(ring.Build(topo, topo.Nodes()*64), 50))
+		fmt.Println(collective.UtilizationChart(wide, 50))
+	}
+
+	if *traceOut != "" || *linkstats != "" {
+		traceSchedule(wide, *traceOut, *linkstats, *bin)
+	}
+
+	if *tables {
+		nt, err := ni.CompileScheduleObserved(wide, run.PlanObserver())
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Println("\nAll-reduce schedule tables (Fig. 5):")
 		for _, tab := range nt.PerNode {
 			fmt.Println(tab.String())
@@ -221,11 +219,14 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	if !spec.Supports(topo) {
 		log.Fatalf("algorithm %q does not support %s", spec.Name, topo.Name())
 	}
-	dataBytes, err := parseSize(size)
+	dataBytes, err := cliutil.ParseSize(size)
 	if err != nil {
 		log.Fatal(err)
 	}
 	elems := int(dataBytes / collective.WordSize)
+	if elems < 1 {
+		log.Fatalf("-size %s is below one %d-byte element", size, collective.WordSize)
+	}
 	s, err := algorithms.Build(topo, spec.Name, elems, run.BuildOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -256,7 +257,7 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 		}
 	}
 	if !wrote {
-		writeFile(path, func(w io.Writer) error {
+		cliutil.WriteFile(path, func(w io.Writer) error {
 			return encode(w, s)
 		})
 	}
@@ -290,33 +291,11 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 		path, s.Algorithm, topo.Name(), len(s.Transfers), dataBytes, hint)
 }
 
-// parseSize accepts plain byte counts and KiB/MiB/GiB suffixes.
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "KiB"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "KiB")
-	case strings.HasSuffix(s, "MiB"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "MiB")
-	case strings.HasSuffix(s, "GiB"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "GiB")
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
-}
-
 // traceSchedule simulates the MultiTree schedule with the fluid engine
 // under tracing, then replays the compiled Fig. 5 tables through the
 // Fig. 6 NI machine with the same recorder, so the export shows both the
 // network's link timelines and the NIs' table walks.
-func traceSchedule(topo *topology.Topology, trees []*collective.Tree, traceOut, linkstats string, bin float64) {
-	sched, err := collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
-	if err != nil {
-		log.Fatal(err)
-	}
+func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin float64) {
 	rec := &obs.Recorder{}
 	cfg := network.DefaultConfig()
 	cfg.Tracer = rec
@@ -324,11 +303,11 @@ func traceSchedule(topo *topology.Topology, trees []*collective.Tree, traceOut, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	nt, err := ni.Compile(trees, topo.Nodes())
+	nt, err := ni.CompileSchedule(sched)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := ni.NewMachine(nt, topo.Nodes())
+	m := ni.NewMachine(nt, len(sched.Flows))
 	m.Trace = rec
 	rounds, err := m.Run()
 	if err != nil {
@@ -338,13 +317,13 @@ func traceSchedule(topo *topology.Topology, trees []*collective.Tree, traceOut, 
 		res.Cycles, rounds, len(rec.Events))
 	meta := network.TraceMetaFor(sched, "")
 	if traceOut != "" {
-		writeFile(traceOut, func(w io.Writer) error {
+		cliutil.WriteFile(traceOut, func(w io.Writer) error {
 			return obs.WriteChromeTrace(w, meta, rec.Events)
 		})
 		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
 	}
 	if linkstats != "" {
-		writeFile(linkstats, func(w io.Writer) error {
+		cliutil.WriteFile(linkstats, func(w io.Writer) error {
 			met := obs.NewMetrics(bin)
 			for _, ev := range rec.Events {
 				met.Emit(ev)
@@ -370,20 +349,6 @@ func copyFile(dst, src string) error {
 		return err
 	}
 	return out.Close()
-}
-
-func writeFile(path string, fn func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
 }
 
 // printPhase lists a schedule's transfers of one opcode grouped by step.

@@ -1,8 +1,9 @@
 // Schedule-inspector example: walk the paper's worked example (§III-B,
 // Fig. 3 and Fig. 5) programmatically — construct the MultiTree schedule
-// trees for a 2x2 Mesh, print the per-step link allocation, compile the
-// co-designed NI schedule tables, and drive the Fig. 6 state machine to
-// prove the tables alone complete a correct all-reduce.
+// trees for a 2x2 Mesh, print the per-step link allocation, lower them to
+// the transfer schedule, compile the co-designed NI schedule tables from
+// that schedule, and drive the Fig. 6 state machine to prove the tables
+// alone complete a correct all-reduce.
 //
 // This example reaches below the public facade into the internal packages
 // to show the co-design's moving parts; downstream users normally stay on
@@ -45,19 +46,20 @@ func main() {
 	a := collective.Analyze(sched)
 	fmt.Printf("\nschedule: %s\n", a)
 
-	// Compile the Fig. 5 schedule tables and run the Fig. 6 NI state
-	// machine on them.
-	tables, err := ni.Compile(trees, topo.Nodes())
+	// Compile the Fig. 5 schedule tables straight from the schedule —
+	// each flow's gathers are its tree edges, its reduces their mirrors,
+	// and the DMA descriptors its flow segments — and run the Fig. 6 NI
+	// state machine on them.
+	tables, err := ni.CompileSchedule(sched)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tables.Bind(1024, topo.Nodes())
 	fmt.Println("\nFig. 5: per-accelerator schedule tables")
 	for _, tab := range tables.PerNode {
 		fmt.Println(tab.String())
 	}
 
-	machine := ni.NewMachine(tables, topo.Nodes())
+	machine := ni.NewMachine(tables, len(sched.Flows))
 	rounds, err := machine.Run()
 	if err != nil {
 		log.Fatal(err)

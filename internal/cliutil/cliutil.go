@@ -1,21 +1,25 @@
-// Package cliutil is the observability plumbing shared by the cmd/
-// tools: pprof profile management, terminal detection for progress
-// output, structured run-report writing with strict re-validation, and
-// the Prometheus metrics listener. Every tool wires the same flags to
-// the same behaviors, so a run report from train-sim validates with the
-// same decoder as one from allreduce-bench.
+// Package cliutil is the plumbing shared by the cmd/ tools: pprof
+// profile management, terminal detection for progress output, structured
+// run-report writing with strict re-validation, the Prometheus metrics
+// listener, size-flag parsing and output-file writing. Every tool wires
+// the same flags to the same behaviors, so a run report from train-sim
+// validates with the same decoder as one from allreduce-bench.
 package cliutil
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"time"
 
 	"multitree/internal/algorithms"
@@ -24,6 +28,44 @@ import (
 	"multitree/internal/plancache"
 	"multitree/internal/topology"
 )
+
+// ParseSize parses a size flag: a plain byte count or one with a KiB,
+// MiB or GiB suffix ("4096", "256KiB", "1MiB"). Negative sizes and sizes
+// whose byte count overflows int64 are errors. Zero parses; callers for
+// which it is meaningless reject it themselves, and for
+// -plan-cache-max-bytes it means uncapped.
+func ParseSize(s string) (int64, error) {
+	num, mult := s, int64(1)
+	switch {
+	case strings.HasSuffix(s, "KiB"):
+		num, mult = strings.TrimSuffix(s, "KiB"), 1<<10
+	case strings.HasSuffix(s, "MiB"):
+		num, mult = strings.TrimSuffix(s, "MiB"), 1<<20
+	case strings.HasSuffix(s, "GiB"):
+		num, mult = strings.TrimSuffix(s, "GiB"), 1<<30
+	}
+	v, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad size %q: want a non-negative byte count, optionally suffixed KiB, MiB or GiB, below 8 EiB", s)
+	}
+	return v * mult, nil
+}
+
+// WriteFile creates path and fills it with fn, exiting through log.Fatal
+// on any create, write or close error.
+func WriteFile(path string, fn func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+}
 
 // StartProfiles starts CPU profiling and arranges a heap profile at
 // exit, per the requested paths (empty paths disable each). The

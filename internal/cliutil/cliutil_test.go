@@ -201,3 +201,35 @@ func TestRegisterFlags(t *testing.T) {
 		t.Errorf("parsed config = %+v, want %+v", cfg, want)
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"0", 0, true}, // -plan-cache-max-bytes 0: uncapped
+		{"4096", 4096, true},
+		{" 12 ", 12, true},
+		{"64KiB", 64 << 10, true},
+		{"1MiB", 1 << 20, true},
+		{"8GiB", 8 << 30, true},
+		{"8589934591GiB", 8589934591 << 30, true}, // the largest GiB count that fits
+		{"9223372036854775807", 1<<63 - 1, true},
+		{"8589934592GiB", 0, false}, // 2^63 bytes: one past int64
+		{"9999999999999GiB", 0, false},
+		{"9223372036854775808", 0, false},
+		{"-1", 0, false},
+		{"-5KiB", 0, false},
+		{"", 0, false},
+		{"KiB", 0, false},
+		{"1.5MiB", 0, false},
+		{"1TiB", 0, false},
+		{"12 bytes", 0, false},
+	} {
+		got, err := ParseSize(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"multitree/internal/algorithms"
 	_ "multitree/internal/algorithms/all"
 	"multitree/internal/collective"
+	"multitree/internal/ni"
 	"multitree/internal/topology"
 )
 
@@ -47,7 +48,9 @@ func fuzzSeeds(f *testing.F, export func(*bytes.Buffer, *collective.Schedule) er
 // worker counts 1 and 4. It must never panic; an input either is
 // rejected at both worker counts or loads to the same schedule at both,
 // and an accepted input re-exports to bytes that load again and
-// re-export unchanged.
+// re-export unchanged, and compiles to NI tables or an error without
+// panicking (the compiler indexes by flow and node ids read from the
+// file).
 func FuzzImportBinary(f *testing.F) {
 	fuzzSeeds(f, func(buf *bytes.Buffer, s *collective.Schedule) error {
 		return collective.ExportBinary(buf, s)
@@ -77,6 +80,7 @@ func FuzzImportBinary(f *testing.F) {
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Fatalf("workers=%d: export -> import -> export changed the bytes", workers)
 			}
+			_, _ = ni.CompileSchedule(s)
 			exports = append(exports, first.Bytes())
 		}
 		if (exports[0] == nil) != (exports[1] == nil) || !bytes.Equal(exports[0], exports[1]) {
@@ -86,8 +90,9 @@ func FuzzImportBinary(f *testing.F) {
 }
 
 // FuzzImport feeds arbitrary bytes to the JSON IR loader. It must never
-// panic, and an accepted input re-exports to bytes that import again and
-// re-export unchanged.
+// panic, an accepted input re-exports to bytes that import again and
+// re-export unchanged, and it compiles to NI tables or an error without
+// panicking.
 func FuzzImport(f *testing.F) {
 	fuzzSeeds(f, func(buf *bytes.Buffer, s *collective.Schedule) error {
 		return collective.Export(buf, s)
@@ -112,5 +117,6 @@ func FuzzImport(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("export -> import -> export changed the bytes")
 		}
+		_, _ = ni.CompileSchedule(s)
 	})
 }

@@ -62,28 +62,6 @@ func (t *Tree) SetEdge(parent, child topology.NodeID, step int) {
 	t.AGStep[child] = step
 }
 
-// Children returns, for each node, its children sorted by attach step then
-// id — the order the schedule table lists them.
-func (t *Tree) Children() [][]topology.NodeID {
-	ch := make([][]topology.NodeID, len(t.Parent))
-	for n, p := range t.Parent {
-		if topology.NodeID(n) == t.Root || p < 0 {
-			continue
-		}
-		ch[p] = append(ch[p], topology.NodeID(n))
-	}
-	for p := range ch {
-		kids := ch[p]
-		sort.Slice(kids, func(i, j int) bool {
-			if t.AGStep[kids[i]] != t.AGStep[kids[j]] {
-				return t.AGStep[kids[i]] < t.AGStep[kids[j]]
-			}
-			return kids[i] < kids[j]
-		})
-	}
-	return ch
-}
-
 // Height returns the maximum AGStep, i.e. the tree's scheduled depth.
 func (t *Tree) Height() int {
 	h := 0
@@ -177,14 +155,6 @@ func (t *Tree) String() string {
 // the root, for the completed reduction).
 func TreesToSchedule(alg string, topo *topology.Topology, elems int, trees []*Tree) (*Schedule, error) {
 	return TreesToScheduleParallel(alg, topo, elems, trees, 1, nil)
-}
-
-// TreesToScheduleObserved is TreesToSchedule bracketed as the lowering
-// phase of a PlanObserver: phase boundaries plus the emitted transfer,
-// dependency-edge and path-hop counts. A nil observer makes it exactly
-// TreesToSchedule.
-func TreesToScheduleObserved(alg string, topo *topology.Topology, elems int, trees []*Tree, o obs.PlanObserver) (*Schedule, error) {
-	return TreesToScheduleParallel(alg, topo, elems, trees, 1, o)
 }
 
 // TreesToScheduleParallel lowers independent trees on up to workers

@@ -16,7 +16,6 @@ import (
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/network"
-	"multitree/internal/obs"
 	"multitree/internal/ring"
 	"multitree/internal/ring2d"
 	"multitree/internal/topology"
@@ -76,20 +75,6 @@ func BuildSchedule(topo *topology.Topology, name string, elems int) (*collective
 	return algorithms.Build(topo, name, elems, algorithms.Options{})
 }
 
-// BuildScheduleObserved is BuildSchedule with planner observability: the
-// observer receives phase boundaries, counters and progress while the
-// schedule is constructed. Nil behaves exactly like BuildSchedule.
-func BuildScheduleObserved(topo *topology.Topology, name string, elems int, o obs.PlanObserver) (*collective.Schedule, error) {
-	return algorithms.Build(topo, name, elems, algorithms.Options{Observer: o})
-}
-
-// BuildScheduleOpts is BuildSchedule with the full planner option set:
-// observability, parallel construction, and the plan cache. The schedule
-// built is identical for every option combination.
-func BuildScheduleOpts(topo *topology.Topology, name string, elems int, opts algorithms.Options) (*collective.Schedule, error) {
-	return algorithms.Build(topo, name, elems, opts)
-}
-
 // AllReducePoint is one measurement of Fig. 9/10. The JSON tags define
 // the machine-readable result format of allreduce-bench -json, consumed
 // by perf-trajectory tracking.
@@ -113,15 +98,7 @@ type AllReducePoint struct {
 
 // MeasureAllReduce simulates one (topology, algorithm, size) point.
 func MeasureAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine) (AllReducePoint, error) {
-	return MeasureAllReduceObserved(topo, alg, dataBytes, engine, nil)
-}
-
-// MeasureAllReduceObserved is MeasureAllReduce reporting schedule
-// construction into a PlanObserver. Nil behaves exactly like
-// MeasureAllReduce; either way the point's PlanNanos carries the
-// construction share of WallNanos.
-func MeasureAllReduceObserved(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, o obs.PlanObserver) (AllReducePoint, error) {
-	return MeasureAllReduceOpts(topo, alg, dataBytes, engine, algorithms.Options{Observer: o})
+	return MeasureAllReduceOpts(topo, alg, dataBytes, engine, algorithms.Options{})
 }
 
 // MeasureAllReduceOpts is MeasureAllReduce with the full planner option
@@ -131,7 +108,7 @@ func MeasureAllReduceObserved(topo *topology.Topology, alg AlgSpec, dataBytes in
 func MeasureAllReduceOpts(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, opts algorithms.Options) (AllReducePoint, error) {
 	start := time.Now()
 	elems := int(dataBytes / collective.WordSize)
-	s, err := BuildScheduleOpts(topo, alg.Name, elems, opts)
+	s, err := algorithms.Build(topo, alg.Name, elems, opts)
 	if err != nil {
 		return AllReducePoint{}, err
 	}
@@ -181,15 +158,7 @@ func Fig9(topo *topology.Topology, sizes []int64, engine Engine, emit func(AllRe
 // reads). Results come back in deterministic (algorithm, size) order
 // regardless of completion order.
 func Fig9Parallel(topo *topology.Topology, sizes []int64, engine Engine, workers int) ([]AllReducePoint, error) {
-	return Fig9ParallelObserved(topo, sizes, engine, workers, nil)
-}
-
-// Fig9ParallelObserved is Fig9Parallel with planner observability: all
-// workers report into the one observer (PlanProfile handles overlapping
-// same-phase runs by charging the union interval). Nil behaves exactly
-// like Fig9Parallel.
-func Fig9ParallelObserved(topo *topology.Topology, sizes []int64, engine Engine, workers int, o obs.PlanObserver) ([]AllReducePoint, error) {
-	return Fig9ParallelOpts(topo, sizes, engine, workers, algorithms.Options{Observer: o})
+	return Fig9ParallelOpts(topo, sizes, engine, workers, algorithms.Options{})
 }
 
 // Fig9ParallelOpts is Fig9Parallel with the full planner option set. A

@@ -30,37 +30,19 @@ func (tr *TracedResult) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, tr.Meta, tr.Events.Events)
 }
 
-// TraceAllReduce measures one (topology, algorithm, size) point like
-// MeasureAllReduce while recording every simulation event and streaming
-// it into a metrics collector with binCycles-wide utilization bins.
-func TraceAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64) (*TracedResult, error) {
-	return TraceAllReduceFaulty(topo, alg, dataBytes, engine, binCycles, nil)
-}
-
-// TraceAllReduceFaulty is TraceAllReduce with engine-layer fault
-// injection: the plan's faults activate mid-flight during the traced run
-// (EvLinkFault events land in the recording), without re-planning the
-// schedule around them.
-func TraceAllReduceFaulty(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan) (*TracedResult, error) {
-	return TraceAllReduceObserved(topo, alg, dataBytes, engine, binCycles, plan, nil)
-}
-
-// TraceAllReduceObserved is TraceAllReduceFaulty reporting schedule
-// construction into a PlanObserver, so traced runs carry the same planner
-// phase breakdown as plain measurements. Nil behaves identically.
-func TraceAllReduceObserved(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, po obs.PlanObserver) (*TracedResult, error) {
-	return TraceAllReduceOpts(topo, alg, dataBytes, engine, binCycles, plan, algorithms.Options{Observer: po})
-}
-
-// TraceAllReduceOpts is TraceAllReduceFaulty with the full planner option
-// set (observer, workers, plan cache).
+// TraceAllReduceOpts measures one (topology, algorithm, size) point like
+// MeasureAllReduceOpts while recording every simulation event and
+// streaming it into a metrics collector with binCycles-wide utilization
+// bins. A non-nil fault plan injects engine-layer faults: they activate
+// mid-flight during the traced run (EvLinkFault events land in the
+// recording), without re-planning the schedule around them.
 func TraceAllReduceOpts(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, opts algorithms.Options) (*TracedResult, error) {
 	elems := int(dataBytes / collective.WordSize)
 	if elems < 1 {
 		return nil, fmt.Errorf("experiments: data size %d bytes is below one %d-byte element", dataBytes, collective.WordSize)
 	}
 	start := time.Now()
-	s, err := BuildScheduleOpts(topo, alg.Name, elems, opts)
+	s, err := algorithms.Build(topo, alg.Name, elems, opts)
 	if err != nil {
 		return nil, err
 	}

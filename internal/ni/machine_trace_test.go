@@ -15,7 +15,7 @@ import (
 // event carries the issue-round timestamp, and metrics counters agree.
 func TestMachineTracing(t *testing.T) {
 	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
-	tables := compile(t, topo)
+	tables := compile(t, topo, topo.Nodes()*64)
 	rec := &obs.Recorder{}
 	met := obs.NewMetrics(0)
 	m := ni.NewMachine(tables, topo.Nodes())

@@ -10,15 +10,17 @@ import (
 	"multitree/internal/topology"
 )
 
-func compile(t *testing.T, topo *topology.Topology) *ni.Tables {
+// compile builds the first-parent MultiTree schedule of topo at elems
+// elements and compiles its tables.
+func compile(t *testing.T, topo *topology.Topology, elems int) *ni.Tables {
 	t.Helper()
-	trees, err := core.BuildTrees(topo, core.Options{})
+	s, err := core.Build(topo, elems, core.Options{})
 	if err != nil {
-		t.Fatalf("BuildTrees(%s): %v", topo.Name(), err)
+		t.Fatalf("Build(%s): %v", topo.Name(), err)
 	}
-	tables, err := ni.Compile(trees, topo.Nodes())
+	tables, err := ni.CompileSchedule(s)
 	if err != nil {
-		t.Fatalf("Compile(%s): %v", topo.Name(), err)
+		t.Fatalf("CompileSchedule(%s): %v", topo.Name(), err)
 	}
 	return tables
 }
@@ -36,7 +38,7 @@ func TestTablesDriveCorrectAllReduce(t *testing.T) {
 		topology.FatTree(4, 4, 4, cfg),
 		topology.BiGraph(4, 4, cfg),
 	} {
-		tables := compile(t, topo)
+		tables := compile(t, topo, topo.Nodes()*64)
 		m := ni.NewMachine(tables, topo.Nodes())
 		if _, err := m.Run(); err != nil {
 			t.Errorf("%s: %v", topo.Name(), err)
@@ -49,7 +51,7 @@ func TestTablesDriveCorrectAllReduce(t *testing.T) {
 // has Gather entries covering all other nodes.
 func TestTableStructure(t *testing.T) {
 	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
-	tables := compile(t, topo)
+	tables := compile(t, topo, topo.Nodes()*64)
 	if tables.Steps < 2 {
 		t.Fatalf("2x2 mesh should need at least 2 steps, got %d", tables.Steps)
 	}
@@ -75,12 +77,12 @@ func TestTableStructure(t *testing.T) {
 	}
 }
 
-// TestBind checks DMA descriptor assignment.
+// TestBind checks DMA descriptor assignment from the schedule's flow
+// segments.
 func TestBind(t *testing.T) {
 	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
-	tables := compile(t, topo)
 	const elems = 1003
-	tables.Bind(elems, topo.Nodes())
+	tables := compile(t, topo, elems)
 	covered := 0
 	seen := map[int]collective.Range{}
 	for _, e := range tables.PerNode[0].Entries {
@@ -120,7 +122,7 @@ func TestHardwareOverhead(t *testing.T) {
 // TestTableString spot-checks the Fig. 5 rendering.
 func TestTableString(t *testing.T) {
 	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
-	tables := compile(t, topo)
+	tables := compile(t, topo, topo.Nodes()*64)
 	s := tables.PerNode[0].String()
 	for _, want := range []string{"Accelerator 0", "Reduce", "Gather", "Step"} {
 		if !strings.Contains(s, want) {
@@ -141,16 +143,22 @@ func TestWideDependencyChaining(t *testing.T) {
 	}
 	maxKids := 0
 	for _, tr := range trees {
-		for _, kids := range tr.Children() {
-			if len(kids) > maxKids {
-				maxKids = len(kids)
+		kids := make([]int, topo.Nodes())
+		for n, p := range tr.Parent {
+			if p >= 0 && topology.NodeID(n) != tr.Root {
+				kids[p]++
+				maxKids = max(maxKids, kids[p])
 			}
 		}
 	}
 	if maxKids <= ni.MaxChildren {
 		t.Skipf("trees never exceed %d children (max %d); chaining not exercised", ni.MaxChildren, maxKids)
 	}
-	tables, err := ni.Compile(trees, topo.Nodes())
+	s, err := collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := ni.CompileSchedule(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +175,11 @@ func TestCompileShortestPathTrees(t *testing.T) {
 		topology.FatTree(4, 4, 4, topology.DefaultLinkConfig()),
 		topology.BiGraph(4, 4, topology.DefaultLinkConfig()),
 	} {
-		trees, err := core.BuildTrees(topo, core.DefaultOptions(topo))
+		s, err := core.Build(topo, topo.Nodes()*64, core.DefaultOptions(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, err := ni.Compile(trees, topo.Nodes())
+		tables, err := ni.CompileSchedule(s)
 		if err != nil {
 			t.Fatalf("%s: %v", topo.Name(), err)
 		}

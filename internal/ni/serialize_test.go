@@ -14,15 +14,14 @@ import (
 // all-reduce through the Fig. 6 machine.
 func TestTableRoundTrip(t *testing.T) {
 	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
-	trees, err := core.BuildTrees(topo, core.Options{})
+	s, err := core.Build(topo, 12345, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := ni.Compile(trees, topo.Nodes())
+	tables, err := ni.CompileSchedule(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables.Bind(12345, topo.Nodes())
 
 	blob, err := tables.MarshalBinary()
 	if err != nil {
@@ -51,11 +50,11 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	// Valid header, truncated body.
 	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
-	trees, err := core.BuildTrees(topo, core.Options{})
+	s, err := core.Build(topo, topo.Nodes()*64, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := ni.Compile(trees, topo.Nodes())
+	tables, err := ni.CompileSchedule(s)
 	if err != nil {
 		t.Fatal(err)
 	}
